@@ -4,9 +4,9 @@ The paper compiles each loop program to parallel and sequential collections;
 here the parallel column is the translated program on the local DISC runtime
 and the sequential column is the reference loop interpreter (see DESIGN.md).
 
-A third axis compares the runtime's executor modes (sequential / threads /
-processes / cluster) on a CPU-heavy subset, exercising the fused-stage
-dispatch path of each executor with identical plans.
+A third axis compares the runtime's executor modes (sequential / cluster) on
+a CPU-heavy subset, exercising the fused-stage dispatch path of each executor
+with identical plans.
 """
 
 import pytest
@@ -76,7 +76,6 @@ def _record_shuffle_metrics(benchmark, context):
     """Attach the shuffle/combiner metrics to the benchmark record so the CI
     smoke job can print them and regressions show up in logs."""
     metrics = context.metrics
-    benchmark.extra_info["process_fallbacks"] = metrics.process_fallbacks
     benchmark.extra_info["fused_stages"] = metrics.fused_stages
     benchmark.extra_info["shuffle_stages"] = metrics.shuffles
     benchmark.extra_info["shuffled_records"] = metrics.shuffled_records
@@ -97,15 +96,10 @@ def _record_shuffle_metrics(benchmark, context):
 def test_translated_evaluation_by_executor(benchmark, name, executor):
     """The same translated plan under each executor mode.
 
-    Evaluator-generated *map-side* stage functions close over driver state
-    and do not pickle, so under ``"processes"`` those fall back to the driver
-    (counted by ``process_fallbacks``).  The *reduce sides* of the wide
-    operators (group/merge/join of shuffle buckets) are module-level stage
-    chains that do pickle, so groupBy/join-heavy workloads now genuinely use
-    the pool -- ``parallel_tasks`` records how many tasks crossed into an
-    executor.  ``"cluster"`` ships even the closure-laden map sides to
-    worker processes (the cluster wire pickles functions by value) and keeps
-    shuffle payloads worker-to-worker.
+    ``"cluster"`` ships even the closure-laden map sides to worker processes
+    (the cluster wire pickles functions by value) and keeps shuffle payloads
+    worker-to-worker; ``parallel_tasks`` records how many tasks crossed into
+    a worker.
     """
     spec = get_program(name)
     inputs = workload_for_program(name, SIZES[name])
@@ -126,9 +120,8 @@ def _add(a, b):
 @pytest.mark.parametrize("executor", ALL_EXECUTOR_MODES)
 @pytest.mark.parametrize("name", ["group_by", "matrix_multiplication"])
 def test_wide_stage_workloads_by_executor(benchmark, name, executor):
-    """Hand-written wide-stage pipelines (picklable stage functions), so every
-    executor runs the shuffle map/reduce sides itself -- the configuration
-    where the processes pool helps the paper's shuffle-dominated workloads."""
+    """Hand-written wide-stage pipelines, so every executor runs the shuffle
+    map/reduce sides of the paper's shuffle-dominated workloads itself."""
     from repro.baselines import get_baseline
 
     inputs = workload_for_program(name, SIZES[name])
@@ -136,42 +129,7 @@ def test_wide_stage_workloads_by_executor(benchmark, name, executor):
         module = get_baseline(name)
         benchmark.pedantic(lambda: module.distributed(context, inputs), rounds=2, iterations=1)
         _record_shuffle_metrics(benchmark, context)
-        if executor == "processes":
-            assert context.metrics.shuffles > 0, "wide-stage workload must shuffle"
+        assert context.metrics.shuffles > 0, "wide-stage workload must shuffle"
     benchmark.extra_info["program"] = name
     benchmark.extra_info["mode"] = "baseline-wide"
     benchmark.extra_info["executor"] = executor
-
-
-def _shift(value: float) -> float:
-    return value + 1.0
-
-
-def _positive(value: float) -> bool:
-    return value > 0.0
-
-
-def _bucket_pair(value: float) -> tuple[int, float]:
-    return (int(value) % 64, value)
-
-
-@pytest.mark.parametrize("executor", ALL_EXECUTOR_MODES)
-def test_picklable_pipeline_by_executor(benchmark, executor):
-    """A fused map→filter chain plus a reduceByKey shuffle of module-level
-    (picklable) functions: narrow map side, combiner, bucketing and the
-    reduce side all cross the process boundary under ``"processes"``."""
-    with make_context(executor) as context:
-        records = [float(i - 25_000) for i in range(50_000)]
-
-        def run_once():
-            kept = context.parallelize(records).map(_shift).filter(_positive)
-            return kept.map(_bucket_pair).reduce_by_key(_add).collect_as_map()
-
-        benchmark.pedantic(run_once, rounds=2, iterations=1)
-        _record_shuffle_metrics(benchmark, context)
-        if executor == "processes":
-            assert context.metrics.process_fallbacks == 0, (
-                "picklable chain must cross the process boundary"
-            )
-    benchmark.extra_info["executor"] = executor
-    benchmark.extra_info["mode"] = "picklable-pipeline"

@@ -1,7 +1,7 @@
 """Cluster mode: the translated program on real multi-process workers.
 
 ``executor_mode="cluster"`` runs stages on long-lived worker *processes*
-connected over TCP -- the same plans as the in-process executors, but with
+connected over TCP -- the same plans as the in-driver executor, but with
 partitions resident in worker memory and shuffle payloads moving directly
 worker-to-worker (never through the driver).  With no ``cluster_address``
 the context spawns a :class:`LocalCluster` of worker subprocesses on
@@ -10,7 +10,7 @@ driver wait for externally started ``repro-worker`` daemons, which is the
 two-terminal setup described in the README.
 
 The example compiles a loop program once, runs it on a 2-worker cluster and
-under the sequential in-process executor, asserts the outputs are
+under the sequential in-driver executor, asserts the outputs are
 bit-identical, and prints the cluster-side metrics: how many shuffle
 payloads moved between workers, how many were served locally, and that zero
 payload bytes transited the driver.
@@ -62,8 +62,7 @@ def main() -> None:
         assert metrics.worker_payload_fetches + metrics.worker_payload_local_reads > 0
 
         # A second program on the same cluster: the workers are long-lived,
-        # so there is no per-run process spawn cost (unlike
-        # executor="processes").
+        # so there is no per-run process spawn cost.
         print("\n== PageRank-style update on the same workers ==")
         ranked = run(on_cluster, PAGERANK_STYLE, E=edges, R=ranks)
         sequential = run(on_driver, PAGERANK_STYLE, E=edges, R=ranks)

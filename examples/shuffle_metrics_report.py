@@ -4,9 +4,8 @@ The CI benchmark-smoke job runs this after the benchmark suite so shuffle
 regressions (extra stages, lost combiner effectiveness, a join silently
 switching strategy) are visible in plain logs.  It runs the two
 shuffle-dominated Figure 3 workloads -- group_by and matrix_multiplication --
-as both the translated DIABLO program and the hand-written baseline, under the
-sequential and processes executors, and prints the structural metrics plus one
-physical plan.  A final section reruns group_by with a deliberately tiny
+as both the translated DIABLO program and the hand-written baseline, and prints
+the structural metrics plus one physical plan.  A final section reruns group_by with a deliberately tiny
 ``spill_threshold_bytes`` so the out-of-core spill counters (``spilled_bytes``
 / ``spill_files`` / ``peak_shuffle_memory``) show up in the report.
 
@@ -25,7 +24,6 @@ from repro.runtime.context import DistributedContext
 from repro.workloads import workload_for_program
 
 WORKLOADS = {"group_by": 2_000, "matrix_multiplication": 8}
-EXECUTORS = ("sequential", "processes")
 
 
 def report(title: str, context: DistributedContext) -> None:
@@ -37,15 +35,14 @@ def report(title: str, context: DistributedContext) -> None:
 def main() -> None:
     for name, size in WORKLOADS.items():
         inputs = workload_for_program(name, size)
-        for executor in EXECUTORS:
-            with DistributedContext(num_partitions=4, executor=executor) as context:
-                spec = get_program(name)
-                diablo = diablo_for(spec, context)
-                diablo.compile(spec.source).run(**inputs)
-                report(f"DIABLO {name} [{executor}]", context)
-            with DistributedContext(num_partitions=4, executor=executor) as context:
-                get_baseline(name).distributed(context, inputs)
-                report(f"hand-written {name} [{executor}]", context)
+        with DistributedContext(num_partitions=4) as context:
+            spec = get_program(name)
+            diablo = diablo_for(spec, context)
+            diablo.compile(spec.source).run(**inputs)
+            report(f"DIABLO {name}", context)
+        with DistributedContext(num_partitions=4) as context:
+            get_baseline(name).distributed(context, inputs)
+            report(f"hand-written {name}", context)
 
     # The same group_by, but forced out-of-core: a 4 KiB map-side budget
     # makes every shuffle spill framed-pickle runs to disk, and the spill
@@ -58,7 +55,7 @@ def main() -> None:
         spec = get_program(name)
         diablo = diablo_for(spec, context)
         diablo.compile(spec.source).run(**inputs)
-        report(f"DIABLO {name} [sequential, spill_threshold_bytes=4096]", context)
+        report(f"DIABLO {name} [spill_threshold_bytes=4096]", context)
         print(
             f"  (spilled {context.metrics.spilled_bytes} bytes across "
             f"{context.metrics.spill_files} files; peak shuffle memory "

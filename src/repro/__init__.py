@@ -203,7 +203,7 @@ class Diablo:
         self.compiler.cache_clear()
 
     def shutdown(self) -> None:
-        """Release the runtime's worker pools (see :meth:`DistributedContext.shutdown`)."""
+        """Release the runtime's resources (see :meth:`DistributedContext.shutdown`)."""
         self.context.shutdown()
 
     def __enter__(self) -> "Diablo":

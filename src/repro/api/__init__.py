@@ -15,7 +15,7 @@ functions::
     ranks = pagerank(adjacency, 100, 10)          # compiled once, then cached
     print(diablo.cache_info())                    # hits grow on repeated calls
 
-    with diablo.options(executor_mode="processes", num_partitions=16):
+    with diablo.options(executor_mode="cluster", num_partitions=16):
         ranks = pagerank(adjacency, 100, 10)      # same translation, new runtime
 
     with diablo.options(spill_threshold_bytes=64 << 20):

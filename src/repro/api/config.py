@@ -1,18 +1,18 @@
 """Unified configuration for the DIABLO user-facing API.
 
 Historically the knobs lived in three places: the runtime
-(``DistributedContext(num_partitions=..., executor=...,
-broadcast_join_threshold=...)``), the compiler (``DiabloCompiler(optimize=...,
-check_restrictions=...)``) and per-call-site wiring in examples and
-benchmarks.  :class:`DiabloConfig` consolidates all of them in one immutable
-dataclass, with two ways to change the active configuration:
+(``DistributedContext(num_partitions=..., broadcast_join_threshold=...)``),
+the compiler (``DiabloCompiler(optimize=..., check_restrictions=...)``) and
+per-call-site wiring in examples and benchmarks.  :class:`DiabloConfig`
+consolidates all of them in one immutable dataclass, with two ways to change
+the active configuration:
 
 * :func:`configure` sets the process-wide defaults;
 * :func:`options` scopes an override to a ``with`` block (backed by a
   :class:`~contextvars.ContextVar`, so concurrent threads and async tasks
   see only their own overrides)::
 
-      with diablo.options(executor_mode="processes", num_partitions=16):
+      with diablo.options(executor_mode="cluster", num_partitions=16):
           ranks = pagerank(E, N, 10)   # jit call under the scoped config
 
 Jit-compiled functions resolve their configuration at call time, so the same
@@ -37,15 +37,11 @@ class DiabloConfig:
     """Every user-facing knob of the compiler and the runtime, in one place.
 
     Attributes:
-        executor_mode: ``"sequential"``, ``"threads"``, ``"processes"``
-            (see :class:`~repro.runtime.context.DistributedContext`) or
+        executor_mode: ``"sequential"`` (every task in the driver; see
+            :class:`~repro.runtime.context.DistributedContext`) or
             ``"cluster"`` (multi-process workers over TCP; see
             :class:`~repro.runtime.cluster.ClusterContext`).
         num_partitions: default number of partitions for datasets.
-        num_threads: thread-pool size for ``executor_mode="threads"``
-            (None = one thread per partition).
-        num_processes: process-pool size for ``executor_mode="processes"``
-            (None = ``min(num_partitions, cpu count)``).
         cluster_workers: number of local worker subprocesses a
             ``"cluster"`` context spawns when no address is given.
         cluster_address: ``host:port`` a ``"cluster"`` context binds and
@@ -102,8 +98,6 @@ class DiabloConfig:
 
     executor_mode: str = "sequential"
     num_partitions: int = 8
-    num_threads: int | None = None
-    num_processes: int | None = None
     cluster_workers: int = 2
     cluster_address: str | None = None
     broadcast_join_threshold: int = DEFAULT_BROADCAST_JOIN_THRESHOLD
@@ -118,14 +112,9 @@ class DiabloConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        # "cluster" is deliberately NOT in EXECUTOR_MODES: the in-process
-        # runtime never sees it (DistributedContext.from_config dispatches
-        # to ClusterContext first), and tests that parametrize over
-        # EXECUTOR_MODES should not silently start spawning clusters.
-        if self.executor_mode != "cluster" and self.executor_mode not in EXECUTOR_MODES:
+        if self.executor_mode not in EXECUTOR_MODES:
             raise ValueError(
-                f"unknown executor_mode {self.executor_mode!r}; choose from "
-                f"{EXECUTOR_MODES + ('cluster',)}"
+                f"unknown executor_mode {self.executor_mode!r}; choose from {EXECUTOR_MODES}"
             )
         if self.num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
@@ -156,8 +145,6 @@ class DiabloConfig:
         return (
             self.executor_mode,
             self.num_partitions,
-            self.num_threads,
-            self.num_processes,
             self.cluster_workers,
             self.cluster_address,
             self.broadcast_join_threshold,

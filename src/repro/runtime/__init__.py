@@ -14,10 +14,9 @@ as pending :mod:`~repro.runtime.stage` descriptors and run as a single
 per-partition pass when an action forces them.  Wide operations are lazy
 :class:`~repro.runtime.stage.ShuffleStage` plan nodes that capture the map-side
 chain, an optional combiner and a partitioner, and execute both their map and
-reduce sides through the executor.  The context executes stages
-``"sequential"``-ly, with a ``"threads"`` pool, or -- when the stage chain
-pickles -- with a ``"processes"`` pool so CPU-bound work uses multiple cores.
-Either way the runtime preserves the data-movement structure of a cluster:
+reduce sides through the executor.  The context executes stages in the
+driver, one partition after another; :mod:`repro.runtime.cluster` runs them
+on worker processes instead.  Either way the runtime preserves the data-movement structure of a cluster:
 every shuffle operation redistributes records by key across partitions and is
 counted as such (records, estimated bytes, combiner effectiveness, join
 strategy).

@@ -5,7 +5,7 @@ DistributedContext` surface -- plan building, shuffle planning, adaptive
 execution, broadcast joins and metrics all run unchanged in the driver --
 and replaces *task execution*: every fused stage chain that has a picklable
 descriptor is shipped over the wire to a long-lived worker process instead
-of running in a local pool.
+of running in the driver.
 
 Scheduling model (deliberately simple, documented in DESIGN.md):
 
@@ -204,6 +204,8 @@ class ClusterContext(DistributedContext):
     #: routed payloads are remote references that only workers should read.
     _reduce_in_tasks = True
 
+    executor = "cluster"
+
     def __init__(
         self,
         num_partitions: int = 8,
@@ -214,8 +216,7 @@ class ClusterContext(DistributedContext):
         register_timeout: float = 60.0,
         **kwargs: Any,
     ):
-        super().__init__(num_partitions=num_partitions, executor="sequential", **kwargs)
-        self.executor = "cluster"
+        super().__init__(num_partitions=num_partitions, **kwargs)
         if cluster_workers <= 0:
             raise ValueError("cluster_workers must be positive")
         self.cluster_workers = cluster_workers
@@ -543,8 +544,8 @@ class ClusterContext(DistributedContext):
     def shutdown(self, cancel_pending: bool = True) -> None:
         """Stop workers, the heartbeat monitor and local subprocesses.
 
-        Safe to call twice.  Unlike the in-process executors the cluster
-        does *not* restart lazily: a shut-down cluster context is done.
+        Safe to call twice.  Unlike the in-driver context the cluster does
+        *not* restart lazily: a shut-down cluster context is done.
         """
         workers, self._workers = self._workers, None
         if workers is not None:
@@ -563,6 +564,8 @@ class ClusterContext(DistributedContext):
             for handle in workers:
                 handle.stop()
             if self._local_cluster is not None:
+                if goodbyes:
+                    self._local_cluster.wait(timeout=10.0)
                 self._local_cluster.close()
             self._push_cache.clear()
         super().shutdown(cancel_pending)

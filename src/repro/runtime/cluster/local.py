@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from typing import IO
 
 import repro
@@ -81,28 +82,33 @@ class LocalCluster:
         """Exit codes by worker index (None while still running)."""
         return [None if p is None else p.poll() for p in self.processes]
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop every worker; escalates terminate -> kill.  Idempotent.
+    def wait(self, timeout: float) -> None:
+        """Give every worker up to ``timeout`` seconds in total to exit by
+        itself (a worker exits once its driver sends ``SHUTDOWN``)."""
+        deadline = time.monotonic() + timeout
+        for process in self.processes:
+            if process is None:
+                continue
+            try:
+                process.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                return
 
-        Workers normally exit by themselves once the driver socket closes,
-        so by the time this runs most processes are already gone.
-        """
+    def close(self) -> None:
+        """Stop every worker still running; escalates terminate -> kill.
+        Idempotent, and prompt: call :meth:`wait` first to let workers that
+        were told to shut down exit cleanly."""
         for index, process in enumerate(self.processes):
             if process is None:
                 continue
             self.processes[index] = None
             if process.poll() is None:
+                process.terminate()
                 try:
-                    # Grace period first: the driver closing its control
-                    # socket already makes workers exit on their own.
-                    process.wait(timeout=timeout)
+                    process.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
-                    process.terminate()
-                    try:
-                        process.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:
-                        process.kill()
-                        process.wait()
+                    process.kill()
+                    process.wait()
         for log in self._logs:
             try:
                 log.close()

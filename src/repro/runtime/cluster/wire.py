@@ -3,14 +3,12 @@
 Translated plans are full of *local* functions: the term evaluator builds
 record functions as closures over IR terms (``bind_element``, ``project_head``,
 ``keep_row``, ...), and the builtin monoid registry holds lambdas.  Plain
-:mod:`pickle` refuses all of them, which is fine for the in-process executors
-(the ``"processes"`` pool just falls back to the driver) but would defeat the
-cluster backend: a map-side chain that cannot ship forces its shuffle payloads
-through the driver.
+:mod:`pickle` refuses all of them, which would defeat the cluster backend: a
+map-side chain that cannot ship forces its shuffle payloads through the
+driver.
 
 :func:`cluster_dumps` therefore extends pickle with two rules, applied only on
-the cluster wire (the in-process executors keep their conservative
-behaviour):
+the cluster wire:
 
 * **Functions pickle by value when they cannot pickle by reference.**  A
   function that is not importable under its qualified name ships as its

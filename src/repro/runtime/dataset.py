@@ -15,9 +15,8 @@ nearest materialized ancestor.  **Wide operations are lazy plan nodes too**:
 chain of their input as the map side of a
 :class:`~repro.runtime.stage.ShuffleStage` and return a pending dataset whose
 force runs the whole shuffle -- map side, bucketing, and reduce side -- through
-:meth:`DistributedContext.run_tasks`, so every executor (threads, processes
-with the pickle fallback) parallelizes the hot wide operators, not just the
-narrow chains between them.
+:meth:`DistributedContext.run_tasks`, so the cluster executor runs the hot
+wide operators on its workers, not just the narrow chains between them.
 
 Pending chains are *forced* at force points:
 
@@ -31,8 +30,8 @@ At a force point a narrow chain is fused by
 :func:`repro.runtime.stage.compose` into a single per-partition task and
 executed in one :meth:`DistributedContext.run_tasks` pass; a shuffle node is
 executed by :meth:`DistributedContext.run_shuffle`.  Either way the task
-descriptors are picklable stage chains the ``"processes"`` executor can ship
-to worker processes.
+descriptors are stage chains the cluster backend can ship to worker
+processes.
 
 Shuffles move :class:`~repro.runtime.spill.BucketPayload` descriptors, not
 record lists: when the context enables ``spill_threshold_bytes`` the map side

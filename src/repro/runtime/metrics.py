@@ -37,12 +37,9 @@ class Metrics:
     fused_stages: int = 0
     #: Total narrow operators folded into fused stages.
     fused_operators: int = 0
-    #: Times the process executor fell back to the driver (unpicklable task
-    #: or a broken worker pool).
-    process_fallbacks: int = 0
-    #: Tasks actually dispatched to a thread/process pool (0 under the
-    #: sequential executor and for driver fallbacks) -- executor-specific by
-    #: design, like ``process_fallbacks``.
+    #: Tasks actually dispatched to cluster workers (0 under the sequential
+    #: executor and for cluster driver fallbacks) -- executor-specific by
+    #: design.
     parallel_tasks: int = 0
     #: Map-side shuffle tasks executed (one per input partition per shuffle).
     shuffle_map_tasks: int = 0
@@ -89,8 +86,8 @@ class Metrics:
     #: Batch runs skipped straight to the record path because an earlier
     #: partition of the same (plan-cached) segment already fell back -- the
     #: memoized-fallback conversion-tax savings.  Runtime counters, so only
-    #: driver-side executors (sequential / threads) report them; process and
-    #: cluster workers keep theirs worker-side.
+    #: in-driver execution reports them; cluster workers keep theirs
+    #: worker-side.
     columnar_memoized_skips: int = 0
     #: Batch runs that resumed from a resident ColumnarPartition produced by
     #: the previous force instead of re-running ``from_records``.
@@ -111,7 +108,7 @@ class Metrics:
     adaptive_decisions: int = 0
     #: Cluster-mode task batches that ran in the driver instead of on workers
     #: (no task_spec, or a chain that could not cross the wire).  0 under the
-    #: three in-process executors.
+    #: sequential executor.
     cluster_fallbacks: int = 0
     #: Partitions served from the workers' resident stores instead of being
     #: re-shipped by the driver (cluster-mode push-cache hits).
@@ -240,9 +237,6 @@ class Metrics:
         self.fused_stages += 1
         self.fused_operators += operators
 
-    def record_process_fallback(self) -> None:
-        self.process_fallbacks += 1
-
     def record_vectorization(self, vectorized: int, fallbacks: int) -> None:
         """Account for one columnar-enabled plan's stage classification."""
         self.vectorized_stages += vectorized
@@ -255,7 +249,7 @@ class Metrics:
         self.columnar_vector_bucket_tasks += stats.get("vector_bucket_tasks", 0)
 
     def record_parallel_tasks(self, tasks: int) -> None:
-        """Account for ``tasks`` tasks dispatched to a worker pool."""
+        """Account for ``tasks`` tasks dispatched to cluster workers."""
         self.parallel_tasks += tasks
 
     def record_cluster_fallback(self) -> None:
@@ -293,7 +287,6 @@ class Metrics:
         self.records_processed = 0
         self.fused_stages = 0
         self.fused_operators = 0
-        self.process_fallbacks = 0
         self.parallel_tasks = 0
         self.shuffle_map_tasks = 0
         self.shuffle_reduce_tasks = 0
@@ -329,8 +322,24 @@ class Metrics:
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of the counters (handy for reporting).
 
-        ``process_fallbacks`` and ``parallel_tasks`` depend on the executor
-        mode; every other counter is a function of the plan and the data.
+        Six counters depend on the executor mode: a 2-worker cluster and the
+        sequential executor report different values for the same job.
+
+        * ``parallel_tasks``, ``worker_payload_fetches``,
+          ``worker_payload_local_reads``, ``worker_payload_bytes`` and
+          ``resident_partition_reuses`` count what only cluster workers do.
+        * ``shuffle_reduce_tasks``: the cluster runs an unspilled
+          repartition's read pass as tasks (its routed payloads are
+          worker-resident), where the driver concatenates in-memory buckets
+          without tasks.
+
+        Every other counter is a function of the plan and the data, except
+        two groups that can differ but stay 0 on both sides in the
+        differential tests: the columnar runtime counters (``columnar_memoized_skips``,
+        ``columnar_resident_reuses``, ``columnar_vector_bucket_tasks``) are
+        recorded only in the driver, so a cluster run reports 0; and
+        ``cluster_fallbacks``/``driver_payload_bytes`` only grow when a
+        cluster task batch falls back to the driver.
         """
         return {
             "shuffles": self.shuffles,
@@ -342,7 +351,6 @@ class Metrics:
             "records_processed": self.records_processed,
             "fused_stages": self.fused_stages,
             "fused_operators": self.fused_operators,
-            "process_fallbacks": self.process_fallbacks,
             "parallel_tasks": self.parallel_tasks,
             "shuffle_map_tasks": self.shuffle_map_tasks,
             "shuffle_reduce_tasks": self.shuffle_reduce_tasks,

@@ -22,14 +22,11 @@ def _records(count=6_000, num_keys=20, seed=11):
     ]
 
 
-def _run(adaptive, executor="sequential", spill=None):
+def _run(executor_context, adaptive, executor="sequential", spill=None):
     """Group, reduce and sort the same skewed pairs; return plain values."""
     records = _records()
-    with DistributedContext(
-        num_partitions=4,
-        executor=executor,
-        adaptive=adaptive,
-        spill_threshold_bytes=spill,
+    with executor_context(
+        executor, num_partitions=4, adaptive=adaptive, spill_threshold_bytes=spill
     ) as ctx:
         data = ctx.parallelize(records)
         grouped = {k: list(vs) for k, vs in data.group_by_key().collect()}
@@ -41,9 +38,11 @@ def _run(adaptive, executor="sequential", spill=None):
 
 class TestAdaptiveDifferential:
     @pytest.mark.parametrize("executor", EXECUTOR_MODES)
-    def test_adaptive_matches_static_bit_for_bit(self, executor):
-        grouped_on, reduced_on, ordered_on, decisions = _run(True, executor)
-        grouped_off, reduced_off, ordered_off, off_decisions = _run(False, executor)
+    def test_adaptive_matches_static_bit_for_bit(self, executor, executor_context):
+        grouped_on, reduced_on, ordered_on, decisions = _run(executor_context, True, executor)
+        grouped_off, reduced_off, ordered_off, off_decisions = _run(
+            executor_context, False, executor
+        )
         assert off_decisions == 0
         assert decisions >= 1, "skewed shuffles must trigger adaptive decisions"
         # Grouped values arrive in a salted / map-side-combined order; the
@@ -55,9 +54,9 @@ class TestAdaptiveDifferential:
         assert ordered_on == ordered_off
 
     @pytest.mark.parametrize("executor", EXECUTOR_MODES)
-    def test_adaptive_matches_static_under_spilling(self, executor):
-        grouped_on, reduced_on, ordered_on, _ = _run(True, executor, spill=1)
-        grouped_off, reduced_off, ordered_off, _ = _run(False, executor, spill=1)
+    def test_adaptive_matches_static_under_spilling(self, executor, executor_context):
+        grouped_on, reduced_on, ordered_on, _ = _run(executor_context, True, executor, spill=1)
+        grouped_off, reduced_off, ordered_off, _ = _run(executor_context, False, executor, spill=1)
         assert grouped_on.keys() == grouped_off.keys()
         for key in grouped_on:
             assert sorted(grouped_on[key]) == sorted(grouped_off[key]), key

@@ -243,7 +243,11 @@ class TestLocalCluster:
         listener = socket.create_server(("127.0.0.1", port))
         try:
             local = LocalCluster(1, f"127.0.0.1:{port}")
+            # The worker never registers (nothing accepts), so there is no
+            # clean-shutdown grace to wait out.
+            started = time.monotonic()
             local.close()
             local.close()
+            assert time.monotonic() - started < 2.0
         finally:
             listener.close()

@@ -23,6 +23,7 @@ import pickle
 import pytest
 
 from test_executor_equivalence import (
+    PARTITION_COUNTS,
     SIZES,
     SPILLING_PROGRAMS,
     TINY_SPILL,
@@ -51,15 +52,15 @@ COLUMNAR_MODES = (True, "auto")
 
 def run_columnar(
     name: str,
-    mode: str,
     spill_threshold_bytes: int | None = None,
     columnar_mode: bool | str = True,
+    open_context=DistributedContext,
+    num_partitions: int = 4,
 ) -> tuple:
     """One Figure 3 workload under truthy columnar; outputs + metric pair."""
     spec = get_program(name)
-    with DistributedContext(
-        num_partitions=4,
-        executor=mode,
+    with open_context(
+        num_partitions=num_partitions,
         spill_threshold_bytes=spill_threshold_bytes,
         columnar=columnar_mode,
     ) as context:
@@ -71,10 +72,11 @@ def run_columnar(
 
 
 @functools.lru_cache(maxsize=None)
-def record_path_outputs(name: str) -> dict:
-    """The record-at-a-time oracle (``columnar=False``), once per program."""
+def record_path_outputs(name: str, num_partitions: int = 4) -> dict:
+    """The record-at-a-time oracle (``columnar=False``), once per program and
+    partition count."""
     spec = get_program(name)
-    with DistributedContext(num_partitions=4, columnar=False) as context:
+    with DistributedContext(num_partitions=num_partitions, columnar=False) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
         assert context.metrics.vectorized_stages == 0, "columnar=False must not vectorize"
@@ -84,7 +86,9 @@ def record_path_outputs(name: str) -> dict:
 @pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
 @pytest.mark.parametrize("mode", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", table2_program_names())
-def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, columnar_mode):
+def test_every_figure3_workload_is_bit_identical_under_columnar(
+    name, mode, columnar_mode, executor_context
+):
     """columnar=True/auto == columnar=False == interpreter, per program and mode.
 
     The ``"auto"`` leg additionally runs at spill threshold 1 byte (the
@@ -93,7 +97,10 @@ def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, colu
     """
     spill = 1 if columnar_mode == "auto" else None
     outputs, _counters = run_columnar(
-        name, mode, spill_threshold_bytes=spill, columnar_mode=columnar_mode
+        name,
+        spill_threshold_bytes=spill,
+        columnar_mode=columnar_mode,
+        open_context=functools.partial(executor_context, mode),
     )
     assert outputs == record_path_outputs(name), (
         f"{name} under {mode!r}/columnar={columnar_mode!r}: "
@@ -102,11 +109,24 @@ def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, colu
     assert_same_outputs(get_program(name), _Outputs(outputs), interpreter_outputs(name))
 
 
+@pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
+@pytest.mark.parametrize("name", table2_program_names())
+def test_every_figure3_workload_is_bit_identical_under_columnar_at_every_partition_count(
+    name, num_partitions
+):
+    """Batches are per partition: one batch holding every record, and uneven
+    (possibly empty) batches, must both match the record path bit for bit."""
+    outputs, _counters = run_columnar(name, num_partitions=num_partitions)
+    assert outputs == record_path_outputs(name, num_partitions), (
+        f"{name} at {num_partitions} partitions: columnar results differ from the record path"
+    )
+
+
 @pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
 @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
 def test_figure3_wide_workloads_spilled_columnar_match_record_path(name, columnar_mode):
     outputs, _counters = run_columnar(
-        name, "sequential", spill_threshold_bytes=TINY_SPILL, columnar_mode=columnar_mode
+        name, spill_threshold_bytes=TINY_SPILL, columnar_mode=columnar_mode
     )
     assert outputs == record_path_outputs(name)
 
@@ -114,17 +134,19 @@ def test_figure3_wide_workloads_spilled_columnar_match_record_path(name, columna
 def test_numeric_workloads_actually_vectorize():
     """The batch path must engage (not silently fall back everywhere)."""
     for name in ("conditional_sum", "histogram", "group_by"):
-        _outputs, (vectorized, _fallbacks) = run_columnar(name, "sequential")
+        _outputs, (vectorized, _fallbacks) = run_columnar(name)
         assert vectorized > 0, f"{name}: no stage took the batch path"
 
 
-def test_columnar_metrics_identical_across_executors():
+def test_columnar_metrics_identical_across_executors(executor_context):
     """Vectorization counters are plan properties, not executor properties."""
     per_mode = {}
     for mode in EXECUTOR_MODES:
-        _outputs, counters = run_columnar("conditional_sum", mode)
+        _outputs, counters = run_columnar(
+            "conditional_sum", open_context=functools.partial(executor_context, mode)
+        )
         per_mode[mode] = counters
-    assert per_mode["sequential"] == per_mode["threads"] == per_mode["processes"]
+    assert per_mode["sequential"] == per_mode["cluster"]
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +380,32 @@ class TestDivisionKernels:
 
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     @pytest.mark.parametrize("op,values,divisor", DIV_BATTERY)
-    def test_battery_through_every_executor_at_spill_one(self, op, values, divisor, mode):
+    def test_battery_through_every_executor_at_spill_one(
+        self, op, values, divisor, mode, executor_context
+    ):
         """The full pipeline: map + shuffle at spill threshold 1, per executor."""
 
         def run(columnar_mode):
+            with executor_context(
+                mode, num_partitions=3, spill_threshold_bytes=1, columnar=columnar_mode
+            ) as ctx:
+                pairs = [(i % 2, value) for i, value in enumerate(values)]
+                data = ctx.parallelize(pairs).map(_div_map(op, divisor))
+                return data.collect(), data.reduce_by_key(_sum_combine).collect()
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("num_partitions", [1, 8])
+    @pytest.mark.parametrize("op,values,divisor", DIV_BATTERY)
+    def test_battery_at_one_and_at_more_partitions_than_records(
+        self, op, values, divisor, num_partitions
+    ):
+        """One partition batches every record together; eight partitions
+        leave some batches empty (no battery row has more than five values)."""
+
+        def run(columnar_mode):
             with DistributedContext(
-                num_partitions=3,
-                executor=mode,
-                spill_threshold_bytes=1,
-                columnar=columnar_mode,
+                num_partitions=num_partitions, spill_threshold_bytes=1, columnar=columnar_mode
             ) as ctx:
                 pairs = [(i % 2, value) for i, value in enumerate(values)]
                 data = ctx.parallelize(pairs).map(_div_map(op, divisor))
@@ -872,7 +911,7 @@ class TestPlumbing:
         assert config_mod.current_config().columnar == "auto", "auto is the default"
 
     def test_counters_surface_in_snapshot_and_explain(self):
-        _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum", "sequential")
+        _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum")
         assert vectorized > 0
         with DistributedContext(num_partitions=4, columnar=True) as ctx:
             spec = get_program("conditional_sum")

@@ -2,16 +2,16 @@
 
 Every Figure 3 workload is run through the sequential loop-language
 interpreter (the correctness oracle) and through the translated plan under
-all three executor modes (``sequential``, ``threads``, ``processes``); all
-four results must agree.  Property-style tests check that operator fusion is
-observable only in the narrow-stage metrics: fused pipelines preserve
-partitioner metadata and leave the shuffle/record metrics untouched.
+both executor modes: ``sequential`` (in the driver) and ``cluster`` (one
+2-worker cluster shared by the module); all three results must agree.
+Property-style tests check that operator fusion is observable only in the
+narrow-stage metrics: fused pipelines preserve partitioner metadata and leave
+the shuffle/record metrics untouched.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import pytest
 
@@ -23,6 +23,27 @@ from repro.programs import get_program, table2_program_names
 from repro.runtime.context import EXECUTOR_MODES, DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 from repro.workloads import generators, workload_for_program
+
+#: Metric-snapshot keys that legitimately differ between the sequential
+#: executor and a 2-worker cluster (see ``Metrics.snapshot``): where the tasks
+#: ran and how payloads moved, not what the plan computed.
+EXECUTOR_SPECIFIC_KEYS = (
+    "parallel_tasks",
+    "worker_payload_fetches",
+    "worker_payload_local_reads",
+    "worker_payload_bytes",
+    "resident_partition_reuses",
+    "shuffle_reduce_tasks",
+)
+
+
+def plan_metrics(context) -> dict:
+    """The context's metric snapshot minus the executor-specific keys."""
+    snapshot = context.metrics.snapshot()
+    for key in EXECUTOR_SPECIFIC_KEYS:
+        snapshot.pop(key)
+    return snapshot
+
 
 #: Workload sizes small enough for the tree-walking interpreter oracle.
 SIZES = {
@@ -57,10 +78,16 @@ def interpreter_outputs(name: str) -> dict:
     return diablo_for(spec).interpret(spec.source, dict(workload(name)))
 
 
-def run_translated_under(name: str, mode: str, spill_threshold_bytes: int | None = None) -> dict:
+def run_translated_under(
+    executor_context,
+    name: str,
+    mode: str,
+    spill_threshold_bytes: int | None = None,
+    num_partitions: int = 4,
+) -> dict:
     spec = get_program(name)
-    with DistributedContext(
-        num_partitions=4, executor=mode, spill_threshold_bytes=spill_threshold_bytes
+    with executor_context(
+        mode, num_partitions=num_partitions, spill_threshold_bytes=spill_threshold_bytes
     ) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
@@ -86,19 +113,37 @@ class _Outputs:
 
 @pytest.mark.parametrize("mode", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", table2_program_names())
-def test_every_figure3_workload_matches_interpreter(name, mode):
+def test_every_figure3_workload_matches_interpreter(name, mode, executor_context):
     spec = get_program(name)
-    translated = run_translated_under(name, mode)
+    translated = run_translated_under(executor_context, name, mode)
+    assert_same_outputs(spec, _Outputs(translated), interpreter_outputs(name))
+
+
+#: Partition counts beside the default 4: a single task per stage, and a
+#: prime count that splits every input unevenly.
+PARTITION_COUNTS = (1, 7)
+
+
+@pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
+@pytest.mark.parametrize("name", table2_program_names())
+def test_every_figure3_workload_is_partition_count_invariant(
+    name, num_partitions, executor_context
+):
+    """How the inputs are split changes bucketing, combining and range
+    sampling, never what a program computes."""
+    spec = get_program(name)
+    translated = run_translated_under(
+        executor_context, name, "sequential", num_partitions=num_partitions
+    )
     assert_same_outputs(spec, _Outputs(translated), interpreter_outputs(name))
 
 
 @pytest.mark.parametrize("name", ["word_count", "pagerank", "kmeans"])
-def test_executor_modes_agree_exactly(name):
-    """The three executors run the same plan, so results are bit-identical."""
-    by_mode = {mode: run_translated_under(name, mode) for mode in EXECUTOR_MODES}
-    reference = by_mode["sequential"]
-    for mode in ("threads", "processes"):
-        assert by_mode[mode] == reference, f"{name}: {mode} differs from sequential"
+def test_executor_modes_agree_exactly(name, executor_context):
+    """Both executors run the same plan, so results are bit-identical."""
+    sequential = run_translated_under(executor_context, name, "sequential")
+    cluster = run_translated_under(executor_context, name, "cluster")
+    assert cluster == sequential, f"{name}: cluster differs from sequential"
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +207,21 @@ class TestFusion:
         assert fused.fused_stages == 1
         assert unfused.fused_stages == 3
 
-    def test_shuffle_metrics_identical_across_executors(self):
+    def test_shuffle_metrics_identical_across_executors(self, executor_context):
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with executor_context(mode, num_partitions=4) as ctx:
                 ds = ctx.parallelize([(i % 5, i) for i in range(100)])
                 ds.map_values(lambda v: v + 1).reduce_by_key(lambda a, b: a + b).collect()
-                snapshot = ctx.metrics.snapshot()
-                # Executor-specific by design: where the tasks ran, not what
-                # the plan moved.
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+                snapshots[mode] = plan_metrics(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
 
 
 # ---------------------------------------------------------------------------
 # Wide operators: every executor mode vs. a plain-Python oracle
 # ---------------------------------------------------------------------------
 
-# Module-level functions so the stage chains pickle and the "processes"
-# executor genuinely ships the map and reduce sides to worker processes.
+# Module-level functions, so cluster workers import them by reference.
 
 
 def _add(a, b):
@@ -190,7 +229,7 @@ def _add(a, b):
 
 
 def _key_value(i):
-    # String keys on purpose: worker processes have different hash seeds, so
+    # String keys on purpose: cluster workers have different hash seeds, so
     # this exercises the process-stable partitioner hashing.
     return (f"k{i % 7}", i)
 
@@ -303,25 +342,29 @@ def _oracle_results():
 
 class TestWideOperatorEquivalence:
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_wide_operators_match_oracle_under_every_executor(self, mode):
+    def test_wide_operators_match_oracle_under_every_executor(self, mode, executor_context):
         oracle = _oracle_results()
-        with DistributedContext(num_partitions=4, executor=mode) as ctx:
+        with executor_context(mode, num_partitions=4) as ctx:
             for name, thunk in _wide_pipelines(ctx):
                 assert thunk() == oracle[name], f"{name} diverged under {mode!r}"
 
-    def test_wide_operator_metrics_identical_across_executors(self):
+    @pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
+    def test_wide_operators_match_oracle_at_every_partition_count(self, num_partitions):
+        oracle = _oracle_results()
+        with DistributedContext(num_partitions=num_partitions) as ctx:
+            for name, thunk in _wide_pipelines(ctx):
+                assert thunk() == oracle[name], f"{name} diverged at {num_partitions} partitions"
+
+    def test_wide_operator_metrics_identical_across_executors(self, executor_context):
         """Shuffle structure (stages, records, bytes, combiner effectiveness)
         is a function of the plan and the data, not of the executor."""
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with executor_context(mode, num_partitions=4) as ctx:
                 for _name, thunk in _wide_pipelines(ctx):
                     thunk()
-                snapshot = ctx.metrics.snapshot()
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+                snapshots[mode] = plan_metrics(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
 
     def test_sort_by_key_output_keeps_a_range_partitioner(self):
         from repro.runtime.partitioner import RangePartitioner
@@ -392,11 +435,11 @@ class TestSpillEquivalence:
     budget every wide operator spills every record, and nothing changes."""
 
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_wide_operators_spilled_match_oracle_under_every_executor(self, mode):
+    def test_wide_operators_spilled_match_oracle_under_every_executor(
+        self, mode, executor_context
+    ):
         oracle = _oracle_results()
-        with DistributedContext(
-            num_partitions=4, executor=mode, spill_threshold_bytes=TINY_SPILL
-        ) as ctx:
+        with executor_context(mode, num_partitions=4, spill_threshold_bytes=TINY_SPILL) as ctx:
             for name, thunk in _wide_pipelines(ctx):
                 assert thunk() == oracle[name], f"{name} diverged under spill + {mode!r}"
             assert ctx.metrics.spilled_bytes > 0
@@ -406,21 +449,31 @@ class TestSpillEquivalence:
                 "per-shuffle spill dirs must be removed as soon as each shuffle completes"
             )
 
-    def test_spill_metrics_identical_across_executors(self):
+    @pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
+    def test_wide_operators_spilled_match_oracle_at_every_partition_count(self, num_partitions):
+        oracle = _oracle_results()
+        with DistributedContext(
+            num_partitions=num_partitions, spill_threshold_bytes=TINY_SPILL
+        ) as ctx:
+            for name, thunk in _wide_pipelines(ctx):
+                assert thunk() == oracle[name], (
+                    f"{name} diverged under spill at {num_partitions} partitions"
+                )
+            assert ctx.metrics.spilled_bytes > 0
+            assert ctx.shuffle_store.active_shuffle_dirs() == []
+
+    def test_spill_metrics_identical_across_executors(self, executor_context):
         """Spill traffic is a function of the plan, the data and the budget
         -- not of the executor (runs are flushed at deterministic points)."""
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(
-                num_partitions=4, executor=mode, spill_threshold_bytes=TINY_SPILL
+            with executor_context(
+                mode, num_partitions=4, spill_threshold_bytes=TINY_SPILL
             ) as ctx:
                 for _name, thunk in _wide_pipelines(ctx):
                     thunk()
-                snapshot = ctx.metrics.snapshot()
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+                snapshots[mode] = plan_metrics(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
 
     def test_spilled_results_equal_in_memory_results(self, monkeypatch):
         """The same pipelines with and without spilling are bit-identical --
@@ -450,9 +503,26 @@ class TestSpillEquivalence:
 
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
-    def test_figure3_wide_workloads_spilled_match_interpreter(self, name, mode):
+    def test_figure3_wide_workloads_spilled_match_interpreter(self, name, mode, executor_context):
         spec = get_program(name)
-        translated = run_translated_under(name, mode, spill_threshold_bytes=TINY_SPILL)
+        translated = run_translated_under(
+            executor_context, name, mode, spill_threshold_bytes=TINY_SPILL
+        )
+        assert_same_outputs(spec, _Outputs(translated), interpreter_outputs(name))
+
+    @pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
+    @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
+    def test_figure3_wide_workloads_spilled_at_every_partition_count(
+        self, name, num_partitions, executor_context
+    ):
+        spec = get_program(name)
+        translated = run_translated_under(
+            executor_context,
+            name,
+            "sequential",
+            spill_threshold_bytes=TINY_SPILL,
+            num_partitions=num_partitions,
+        )
         assert_same_outputs(spec, _Outputs(translated), interpreter_outputs(name))
 
     def test_spill_files_cleaned_up_after_context_close(self, tmp_path):
@@ -545,11 +615,11 @@ class TestJoinStrategySelection:
 
 
 class TestWideStageDispatch:
-    def test_groupby_join_pipeline_runs_on_the_process_pool(self):
+    def test_groupby_join_pipeline_runs_on_the_workers(self, executor_context):
         """Map side and reduce side of a groupBy/join pipeline both dispatch
-        through ``run_tasks``: in "processes" mode with picklable stages the
-        executor task count is positive and nothing falls back."""
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
+        through ``run_tasks``: on the cluster the worker task count is
+        positive and nothing falls back to the driver."""
+        with executor_context("cluster", num_partitions=4) as ctx:
             keyed = ctx.parallelize(range(200)).map(_key_value)
             grouped = keyed.reduce_by_key(_add)
             lookup = ctx.parallelize([(f"k{i}", i) for i in range(7)])
@@ -557,21 +627,13 @@ class TestWideStageDispatch:
             result = sorted(joined.collect())
             assert len(result) == 7
             assert ctx.metrics.parallel_tasks > 0
-            assert ctx.metrics.process_fallbacks == 0
+            assert ctx.metrics.cluster_fallbacks == 0
             assert ctx.metrics.shuffle_map_tasks > 0
             assert ctx.metrics.shuffle_reduce_tasks > 0
 
-    def test_unpicklable_wide_stage_falls_back_to_driver(self):
-        captured = {"offset": 1}
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            ds = ctx.parallelize([(i % 5, i) for i in range(50)])
-            result = ds.reduce_by_key(lambda a, b: a + b + captured["offset"] - 1)
-            assert len(result.collect()) == 5
-            assert ctx.metrics.process_fallbacks > 0
-
 
 # ---------------------------------------------------------------------------
-# Process-executor behavior
+# Task failures on cluster workers
 # ---------------------------------------------------------------------------
 
 
@@ -583,34 +645,22 @@ def _failing_os_step(_value):
     raise FileNotFoundError("no such file: boom")
 
 
-class TestProcessExecutor:
-    def test_picklable_chain_crosses_the_process_boundary(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            ds = ctx.parallelize(range(100)).map(functools.partial(operator.mul, 3))
-            assert sorted(ds.collect()) == [3 * i for i in range(100)]
-            assert ctx.metrics.process_fallbacks == 0
-
-    def test_unpicklable_lambda_falls_back_to_driver(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            captured = {"offset": 7}
-            ds = ctx.parallelize(range(50)).map(lambda x: x + captured["offset"])
-            assert sorted(ds.collect()) == [i + 7 for i in range(50)]
-            assert ctx.metrics.process_fallbacks == 1
-
-    def test_worker_errors_surface_as_execution_errors(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
+class TestClusterTaskErrors:
+    def test_worker_errors_surface_as_execution_errors(self, executor_context):
+        with executor_context("cluster", num_partitions=4) as ctx:
             with pytest.raises(ExecutionError):
                 ctx.parallelize(range(8)).map(_failing_step).collect()
 
-    def test_os_errors_from_user_code_are_task_errors_not_fallbacks(self):
-        # Regression: OSError subclasses raised by user code must not be
-        # mistaken for pool-infrastructure failures (which would silently
-        # re-run the job in the driver and leak the raw exception).
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
+    def test_os_errors_from_user_code_are_task_errors_not_fallbacks(self, executor_context):
+        # OSError subclasses raised by user code must not be mistaken for
+        # infrastructure failures (which would silently re-run the job in
+        # the driver and leak the raw exception).
+        with executor_context("cluster", num_partitions=4) as ctx:
             with pytest.raises(ExecutionError):
                 ctx.parallelize(range(8)).map(_failing_os_step).collect()
-            assert ctx.metrics.process_fallbacks == 0
+            assert ctx.metrics.cluster_fallbacks == 0
 
-    def test_values_match_helper_tolerates_float_noise(self):
-        assert values_match(1.0, 1.0 + 1e-12)
-        assert not values_match(1.0, 1.1)
+
+def test_values_match_helper_tolerates_float_noise():
+    assert values_match(1.0, 1.0 + 1e-12)
+    assert not values_match(1.0, 1.1)

@@ -8,6 +8,8 @@ very same converted loop program.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import repro.api as diablo
@@ -322,19 +324,20 @@ class TestTypedSignatures:
 class TestConfiguration:
     def test_options_scope_changes_the_runtime(self):
         base_partitions = pagerank.runtime().num_partitions
-        with diablo.options(num_partitions=3, executor_mode="threads"):
+        with diablo.options(num_partitions=3, columnar=False):
             scoped = pagerank.runtime()
             assert scoped.num_partitions == 3
-            assert scoped.executor == "threads"
+            assert scoped.columnar is False
+            assert scoped.executor == "sequential"
         assert pagerank.runtime().num_partitions == base_partitions
 
     def test_options_nest_and_restore_on_error(self):
         with diablo.options(num_partitions=5):
-            with diablo.options(executor_mode="threads"):
+            with diablo.options(columnar=False):
                 config = diablo.current_config()
                 assert config.num_partitions == 5
-                assert config.executor_mode == "threads"
-            assert diablo.current_config().executor_mode == "sequential"
+                assert config.columnar is False
+            assert diablo.current_config().columnar == "auto"
         with pytest.raises(RuntimeError):
             with diablo.options(num_partitions=2):
                 raise RuntimeError("boom")
@@ -349,17 +352,19 @@ class TestConfiguration:
             return total
 
         assert pinned_partitions.runtime().num_partitions == 2
-        with diablo.options(executor_mode="threads"):
+        with diablo.options(columnar=False):
             runtime = pinned_partitions.runtime()
             assert runtime.num_partitions == 2
-            assert runtime.executor == "threads"
+            assert runtime.columnar is False
         pinned_partitions.close()
 
     def test_unknown_and_invalid_options_are_rejected(self):
         with pytest.raises(TypeError, match="unknown DiabloConfig option"):
             DiabloConfig().replace(num_partition=4)
-        with pytest.raises(ValueError, match="executor_mode"):
-            DiabloConfig(executor_mode="gpu")
+        # Removed modes are rejected, not aliased to a remaining one.
+        for removed in ("gpu", "threads", "processes"):
+            with pytest.raises(ValueError, match=re.escape("('sequential', 'cluster')")):
+                DiabloConfig(executor_mode=removed)
         with pytest.raises(TypeError, match="unknown DiabloConfig option"):
 
             @diablo.jit(num_partitoins=2)
@@ -372,9 +377,8 @@ class TestConfiguration:
     def test_executor_modes_agree(self):
         values = random_doubles(4_000, seed=9)
         expected = conditional_sum(values)
-        for mode in ("threads", "processes"):
-            with diablo.options(executor_mode=mode):
-                assert abs(conditional_sum(values) - expected) < 1e-9
+        with diablo.options(executor_mode="cluster"):
+            assert abs(conditional_sum(values) - expected) < 1e-9
         conditional_sum.close()
 
     def test_facade_picks_up_scoped_config(self):
@@ -392,7 +396,7 @@ class TestConfiguration:
 
 class TestLifecycle:
     def test_jit_function_as_context_manager(self):
-        @diablo.jit(cache=CompilationCache(), executor_mode="threads")
+        @diablo.jit(cache=CompilationCache(), num_partitions=3)
         def totals(V):
             total: float = 0.0
             for v in V:

@@ -16,6 +16,8 @@ Covers the PR 5 acceptance criteria:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from test_soundness_programs import assert_same_outputs, values_match
@@ -149,10 +151,10 @@ class TestNarrowFastPaths:
         assert "both sides partitioned by" in report
         assert "loop-invariant reuses: 1" in report
 
-    def test_narrow_paths_agree_across_executors(self):
+    def test_narrow_paths_agree_across_executors(self, executor_context):
         collected = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with executor_context(mode, num_partitions=4) as ctx:
                 left, right = self._sides(ctx)
                 ctx.metrics.reset()
                 collected[mode] = {
@@ -162,7 +164,7 @@ class TestNarrowFastPaths:
                     "shuffles": ctx.metrics.shuffles,
                     "eliminated": ctx.metrics.shuffles_eliminated,
                 }
-        assert collected["sequential"] == collected["threads"] == collected["processes"]
+        assert collected["sequential"] == collected["cluster"]
         assert collected["sequential"]["shuffles"] == 0
 
 
@@ -423,9 +425,9 @@ class TestLoopInvariantHoisting:
 # ---------------------------------------------------------------------------
 
 
-def _run_program(name, inputs, **context_kwargs):
+def _run_program(name, inputs, open_context=DistributedContext, **context_kwargs):
     spec = get_program(name)
-    with DistributedContext(num_partitions=4, **context_kwargs) as context:
+    with open_context(num_partitions=4, **context_kwargs) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**inputs)
         outputs = translated_outputs(name, result)
@@ -645,14 +647,17 @@ def test_planner_on_off_differential(name):
 
 @pytest.mark.parametrize("mode", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", ["pagerank", "kmeans", "word_count", "group_by"])
-def test_planner_with_spilling_matches_unoptimized(name, mode):
+def test_planner_with_spilling_matches_unoptimized(name, mode, executor_context):
     """Planner on + 1-byte spill threshold vs. planner off, per executor."""
     spec = get_program(name)
     inputs = _workload(name)
     if name == "pagerank":
         inputs["num_steps"] = 2
     _r1, on_outputs, _m1 = _run_program(
-        name, inputs, executor=mode, spill_threshold_bytes=1
+        name,
+        inputs,
+        open_context=functools.partial(executor_context, mode),
+        spill_threshold_bytes=1,
     )
     _r2, off_outputs, _m2 = _run_program(name, inputs, plan_optimize=False)
     _outputs_match(spec, on_outputs, off_outputs)

@@ -1,9 +1,11 @@
 """Tests for the local DISC runtime (datasets, context, partitioners, metrics)."""
 
+import threading
+
 import pytest
 
 from repro.errors import ExecutionError
-from repro.runtime.context import DistributedContext
+from repro.runtime.context import EXECUTOR_MODES, DistributedContext
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
 
 
@@ -48,23 +50,27 @@ class TestContext:
             DistributedContext(num_partitions=0)
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
+        # A DistributedContext always runs in the driver; the executor is
+        # chosen by the context class, not by a constructor argument.
+        with pytest.raises(TypeError):
             DistributedContext(executor="gpu")
 
-    def test_threaded_executor_runs_tasks(self):
-        with DistributedContext(num_partitions=4, executor="threads", num_threads=2) as ctx:
-            result = ctx.parallelize(range(100)).map(lambda x: x * 2).collect()
-            assert sorted(result) == [x * 2 for x in range(100)]
+    @pytest.mark.parametrize("option", ["num_threads", "num_processes"])
+    def test_removed_pool_options_rejected(self, option):
+        with pytest.raises(TypeError):
+            DistributedContext(num_partitions=4, **{option: 2})
 
-    def test_threaded_executor_propagates_errors(self):
-        with DistributedContext(num_partitions=4, executor="threads") as ctx:
-            with pytest.raises(ExecutionError):
-                ctx.parallelize(range(10)).map(lambda x: 1 / 0).collect()
+    def test_tasks_run_in_the_driver_in_partition_order(self, ctx):
+        seen = []
 
-    def test_process_executor_runs_tasks(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            result = ctx.parallelize(range(100)).map(lambda x: x * 2).collect()
-            assert sorted(result) == [x * 2 for x in range(100)]
+        def task(partition, index):
+            seen.append((index, threading.get_ident()))
+            return [x * 2 for x in partition]
+
+        assert ctx.executor == "sequential"
+        result = ctx.run_tasks(task, [[1], [2, 3], [], [4]])
+        assert result == [[2], [4, 6], [], [8]]
+        assert seen == [(index, threading.get_ident()) for index in range(4)]
 
 
 class TestLazyEngine:
@@ -186,15 +192,15 @@ class TestNarrowOperations:
         dataset = ctx.parallelize(range(100))
         assert dataset.sample(0.3, seed=5).collect() == dataset.sample(0.3, seed=5).collect()
 
-    def test_sample_agrees_across_executors(self):
+    def test_sample_agrees_across_executors(self, executor_context):
         # Regression: sampling used one shared generator mutated from every
         # partition, so results depended on partition evaluation order.  Each
         # partition now derives its own generator from (seed, index).
         results = {}
-        for executor in ("sequential", "threads", "processes"):
-            with DistributedContext(num_partitions=4, executor=executor) as ctx:
+        for executor in EXECUTOR_MODES:
+            with executor_context(executor, num_partitions=4) as ctx:
                 results[executor] = ctx.parallelize(range(200)).sample(0.3, seed=5).collect()
-        assert results["sequential"] == results["threads"] == results["processes"]
+        assert results["sequential"] == results["cluster"]
         assert 0 < len(results["sequential"]) < 200
 
     def test_sample_varies_with_seed(self, ctx):
