@@ -31,9 +31,11 @@ planner eliminate work the inline emission could not see:
   partitioner, so downstream merges and joins on the same key run as narrow,
   shuffle-free stages.
 
-Scalar sub-terms are evaluated locally inside tasks with the shared operator
-semantics of :mod:`repro.operators`, so the distributed path and the
-sequential interpreter agree on every arithmetic detail.  The Dataset
+Every record function a plan node carries (generator binding, per-row
+expansion, filter, let, join and group-by keys, head projection) runs a
+closure the :mod:`repro.algebra.termc` compiler built once from its term, with
+the shared operator semantics of :mod:`repro.operators`, so the distributed
+path and the sequential interpreter agree on every arithmetic detail.  The Dataset
 operations the planner emits are lazy: scans, per-row expansions, filters and
 head projections fuse into single per-partition passes at the next shuffle or
 action, exactly as before.
@@ -44,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import operators
 from repro.algebra import plan as plan_mod
 from repro.algebra.plan import (
     GroupByKeyNode,
@@ -56,19 +57,15 @@ from repro.algebra.plan import (
     ScanNode,
 )
 from repro.algebra import vectorize
+from repro.algebra.termc import PreAggregated, TermCompiler, binding_row, compile_pattern, let_row
 from repro.algebra.planner import LoopInvariantCache, Planner, PlanSkeletonCache
 from repro.comprehension import ir
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import CompilationError, ExecutionError
 from repro.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from repro.runtime.context import DistributedContext
-from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD, Dataset
+from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
-
-#: Backwards-compatible alias: the evaluator now shares the runtime's join
-#: strategy knob (``context.broadcast_join_threshold``) instead of keeping its
-#: own.  The threshold only affects performance, never results.
-BROADCAST_THRESHOLD = DEFAULT_BROADCAST_JOIN_THRESHOLD
 
 
 @dataclass
@@ -87,11 +84,6 @@ class EvaluationEnvironment:
     values: dict[str, Any] = field(default_factory=dict)
     functions: FunctionRegistry = field(default_factory=lambda: DEFAULT_FUNCTIONS)
     monoids: MonoidRegistry = field(default_factory=lambda: DEFAULT_MONOIDS)
-
-    def copy_with(self, values: dict[str, Any]) -> "EvaluationEnvironment":
-        merged = dict(self.values)
-        merged.update(values)
-        return EvaluationEnvironment(self.context, merged, self.functions, self.monoids)
 
 
 @dataclass
@@ -139,11 +131,13 @@ class TermEvaluator:
         skeleton_cache: PlanSkeletonCache | None = None,
     ):
         self.env = environment
-        # Keyed by id() for speed but the value keeps a strong reference to
-        # the keyed object *and* re-checks identity on lookup: a bare
-        # id()-keyed dict would silently serve a stale bag when the original
-        # object was garbage collected and its id reused.
-        self._local_bag_cache: dict[int, tuple[Any, list[Any]]] = {}
+        #: Compiles every term of this statement's record functions once.
+        self._compiler = TermCompiler(environment, self.evaluate)
+        self._as_local_bag = self._compiler.as_bag
+        #: ``evaluate_local`` memo: id(term) -> (term, closure).  Keyed by
+        #: identity, not equality: ``CConst(1) == CConst(True)``, and a term
+        #: holding a list constant is unhashable.
+        self._compiled_terms: dict[int, tuple[ir.Term, Any]] = {}
         #: Per-statement CSE memo: comprehension sub-term -> lowered Dataset.
         self._term_dataset_cache: dict[Any, Dataset] = {}
         #: While-loop cache shared across iterations (None outside loops).
@@ -181,8 +175,6 @@ class TermEvaluator:
             return self.env.context.range_dataset(int(lower), int(upper))
         if isinstance(term, ir.EmptyBag):
             return self.env.context.empty()
-        if isinstance(term, ir.CVar):
-            return self._lookup(term.name, {})
         return self.evaluate_local(term, {})
 
     def evaluate_bag(self, term: ir.Term) -> Dataset:
@@ -191,13 +183,20 @@ class TermEvaluator:
 
     def as_dataset(self, value: Any) -> Dataset:
         """Coerce a driver value to a Dataset."""
+        dataset = self._collection_dataset(value)
+        if dataset is None:
+            raise ExecutionError(f"expected a collection, got {value!r}")
+        return dataset
+
+    def _collection_dataset(self, value: Any) -> Dataset | None:
+        """A Dataset, dict (pairs) or plain collection as a Dataset; else None."""
         if isinstance(value, Dataset):
             return value
         if isinstance(value, dict):
             return self.env.context.parallelize_pairs(value)
         if isinstance(value, (list, tuple, set)):
             return self.env.context.parallelize(list(value))
-        raise ExecutionError(f"expected a collection, got {value!r}")
+        return None
 
     def _merge_operand(self, term: ir.Term) -> Dataset:
         """Evaluate one side of an array merge (⊳ / ⊳⊕).
@@ -298,11 +297,7 @@ class TermEvaluator:
             return [self.evaluate_local(comp.head, dict(build.driver_bindings))]
         head = comp.head
         base = dict(build.driver_bindings)
-        evaluator = self
-
-        def project_head(row: dict[str, Any]) -> Any:
-            return evaluator.evaluate_local(head, {**base, **row})
-
+        project_head = self._compiler.term(head, base)
         head_fn = vectorize.head_map(
             head,
             frozenset(build.bound_order),
@@ -360,15 +355,10 @@ class TermEvaluator:
         for _scan, name in rebinds:
             if name in datasets:
                 continue
-            value = self.env.values.get(name)
-            if isinstance(value, Dataset):
-                datasets[name] = value
-            elif isinstance(value, dict):
-                datasets[name] = self.env.context.parallelize_pairs(value)
-            elif isinstance(value, (list, tuple, set)):
-                datasets[name] = self.env.context.parallelize(list(value))
-            else:
+            dataset = self._collection_dataset(self.env.values.get(name))
+            if dataset is None:
                 return None
+            datasets[name] = dataset
         for scan, name in rebinds:
             scan.dataset = datasets[name]
         self.env.context.metrics.record_plan_cache_hit()
@@ -411,22 +401,11 @@ class TermEvaluator:
 
         if row_dependent:
             # The domain depends on per-row values: expand it locally per row.
-            base = dict(build.driver_bindings)
-            evaluator = self
-
-            def expand(row: dict[str, Any]) -> list[dict[str, Any]]:
-                local = {**base, **row}
-                bag = evaluator._as_local_bag(evaluator.evaluate_local(domain, local))
-                out = []
-                for element in bag:
-                    binding = _bind_pattern(pattern, element)
-                    out.append({**row, **binding})
-                return out
-
+            domain_fn = self._compiler.term(domain, dict(build.driver_bindings))
             self.trace.append(f"per-row expansion of generator over {domain}")
             node = NarrowNode(
                 kind=plan_mod.FLAT_MAP,
-                function=expand,
+                function=self._compiler.expansion(pattern, domain_fn),
                 child=build.rows,
                 describe=f"expand {domain}",
             )
@@ -444,10 +423,10 @@ class TermEvaluator:
         if dataset is None:
             # The domain is a local (driver) bag: bind it per element.
             bag = self._as_local_bag(self.evaluate_local(domain, dict(build.driver_bindings)))
+            to_row = binding_row(pattern)
             if build.rows is None:
                 if len(bag) == 1:
-                    binding = _bind_pattern(pattern, bag[0])
-                    build.driver_bindings.update(binding)
+                    build.driver_bindings.update(to_row(bag[0]))
                     build.driver_invariant = build.driver_invariant and domain_invariant
                     return
                 dataset = self.env.context.parallelize(bag)
@@ -456,12 +435,12 @@ class TermEvaluator:
                     build.dead = True
                     return
 
-                def expand_local(row: dict[str, Any]) -> list[dict[str, Any]]:
-                    return [{**row, **_bind_pattern(pattern, element)} for element in bag]
+                bindings = [to_row(element) for element in bag]
 
-                flat_fn = vectorize.extend_flat_map(
-                    [_bind_pattern(pattern, element) for element in bag], expand_local
-                )
+                def expand_local(row: dict[str, Any]) -> list[dict[str, Any]]:
+                    return [{**row, **binding} for binding in bindings]
+
+                flat_fn = vectorize.extend_flat_map(bindings, expand_local)
                 node = NarrowNode(
                     kind=plan_mod.FLAT_MAP,
                     function=flat_fn or expand_local,
@@ -504,9 +483,7 @@ class TermEvaluator:
                 build.skeleton_safe = False
 
         if build.rows is None:
-            def bind_element(element: Any) -> dict[str, Any]:
-                return {**_bind_pattern(pattern, element)}
-
+            bind_element = binding_row(pattern)
             node = NarrowNode(
                 kind=plan_mod.MAP,
                 function=vectorize.bind_map(pattern, bind_element) or bind_element,
@@ -584,14 +561,7 @@ class TermEvaluator:
         self, domain: ir.Term, driver_bindings: dict[str, Any]
     ) -> Dataset | None:
         if isinstance(domain, ir.CVar):
-            value = self._lookup(domain.name, driver_bindings)
-            if isinstance(value, Dataset):
-                return value
-            if isinstance(value, dict):
-                return self.env.context.parallelize_pairs(value)
-            if isinstance(value, (list, tuple, set)):
-                return self.env.context.parallelize(list(value))
-            return None
+            return self._collection_dataset(self.evaluate_local(domain, driver_bindings))
         if isinstance(domain, ir.RangeTerm):
             lower = self.evaluate_local(domain.lower, dict(driver_bindings))
             upper = self.evaluate_local(domain.upper, dict(driver_bindings))
@@ -664,7 +634,7 @@ class TermEvaluator:
         base = dict(build.driver_bindings)
         left_terms = tuple(left for _, left, _ in join_conditions)
         right_terms = tuple(right for _, _, right in join_conditions)
-        evaluator = self
+        bind = compile_pattern(pattern)
 
         # Single-key joins key records by the raw value (not a 1-tuple): the
         # record key then coincides with the scanned pair's own key, so when
@@ -673,27 +643,21 @@ class TermEvaluator:
         # narrow / map-side-bypassed pass (see Planner.annotate).  Both sides
         # use the same convention, so join-key equality is unaffected.
         single_key = len(left_terms) == 1
+        left_fn = self._compiler.term(left_terms[0] if single_key else ir.CTuple(left_terms), base)
+        right_fn = self._compiler.term(right_terms[0] if single_key else ir.CTuple(right_terms), base)
 
         def left_key(row: dict[str, Any]) -> tuple[Any, Any]:
-            local = {**base, **row}
-            if single_key:
-                return (evaluator.evaluate_local(left_terms[0], local), row)
-            return (
-                tuple(evaluator.evaluate_local(term, local) for term in left_terms),
-                row,
-            )
+            return (left_fn(row), row)
 
         def right_key(element: Any) -> tuple[Any, Any]:
-            local = {**base, **_bind_pattern(pattern, element)}
-            if single_key:
-                return (evaluator.evaluate_local(right_terms[0], local), element)
-            return (
-                tuple(evaluator.evaluate_local(term, local) for term in right_terms),
-                element,
-            )
+            local: dict[str, Any] = {}
+            bind(element, local)
+            return (right_fn(local), element)
 
         def rebuild(pair: Any) -> dict[str, Any]:
-            return {**pair[1][0], **_bind_pattern(pattern, pair[1][1])}
+            row = dict(pair[1][0])
+            bind(pair[1][1], row)
+            return row
 
         node = HashJoinNode(
             left=build.rows,
@@ -723,14 +687,10 @@ class TermEvaluator:
         by the planner at lowering time with the runtime's shared
         ``broadcast_join_threshold`` heuristic.
         """
-
-        def bind_right(element: Any) -> dict[str, Any]:
-            return _bind_pattern(pattern, element)
-
         node = ProductNode(
             left=build.rows,
             right=scan,
-            bind_right_fn=bind_right,
+            bind_right_fn=binding_row(pattern),
             domain_label=str(domain),
         )
         node.sig = ("product", pattern, domain)
@@ -745,20 +705,14 @@ class TermEvaluator:
         pattern = qualifier.pattern
         term = qualifier.term
         if build.rows is None:
-            value = self.evaluate_local_or_dataset(term, dict(build.driver_bindings))
-            binding = _bind_pattern(pattern, value)
-            build.driver_bindings.update(binding)
+            value = self._compiler.local_or_driver(term)(dict(build.driver_bindings))
+            compile_pattern(pattern)(value, build.driver_bindings)
             build.driver_invariant = build.driver_invariant and self._term_is_invariant(
                 term, frozenset(build.driver_bindings)
             )
             return
         base = dict(build.driver_bindings)
-        evaluator = self
-
-        def add_binding(row: dict[str, Any]) -> dict[str, Any]:
-            local = {**base, **row}
-            value = evaluator.evaluate_local(term, local)
-            return {**row, **_bind_pattern(pattern, value)}
+        add_binding = let_row(pattern, self._compiler.term(term, base))
 
         let_fn = vectorize.let_map(
             pattern,
@@ -795,10 +749,10 @@ class TermEvaluator:
             return
         base = dict(build.driver_bindings)
         term = qualifier.term
-        evaluator = self
+        test = self._compiler.term(term, base)
 
         def keep_row(row: dict[str, Any]) -> bool:
-            return bool(evaluator.evaluate_local(term, {**base, **row}))
+            return bool(test(row))
 
         filter_fn = vectorize.row_filter(
             term,
@@ -832,7 +786,7 @@ class TermEvaluator:
             # With no generators the group-by degenerates to a let of the key;
             # every "lifted" variable is already a single value.
             key_value = self.evaluate_local(qualifier.key_term(), dict(build.driver_bindings))
-            build.driver_bindings.update(_bind_pattern(qualifier.pattern, key_value))
+            compile_pattern(qualifier.pattern)(key_value, build.driver_bindings)
             build.driver_invariant = build.driver_invariant and self._term_is_invariant(
                 qualifier.key_term(), frozenset(build.driver_bindings)
             )
@@ -842,11 +796,12 @@ class TermEvaluator:
         pattern = qualifier.pattern
         pattern_variables = list(pattern.variables())
         lifted = [name for name in build.bound_order if name not in pattern_variables]
-        evaluator = self
         pattern_term = ir.pattern_to_term(pattern)
+        key_fn = self._compiler.term(key_term, base)
+        to_row = binding_row(pattern)
 
         def key_row(row: dict[str, Any]) -> tuple[Any, Any]:
-            return (evaluator.evaluate_local(key_term, {**base, **row}), row)
+            return (key_fn(row), row)
 
         aggregation = self._aggregation_only_plan(head, post_qualifiers, pattern_variables, lifted)
         if aggregation is not None:
@@ -854,10 +809,7 @@ class TermEvaluator:
             monoid = self.env.monoids.get(op)
 
             def key_value_row(row: dict[str, Any]) -> tuple[Any, Any]:
-                return (
-                    evaluator.evaluate_local(key_term, {**base, **row}),
-                    row.get(value_name),
-                )
+                return (key_fn(row), row.get(value_name))
 
             key_value_fn = vectorize.key_value_map(
                 key_term,
@@ -874,12 +826,12 @@ class TermEvaluator:
 
             def rebuild(pair: Any) -> dict[str, Any]:
                 key, value = pair
-                row = _bind_pattern(pattern, key)
+                row = to_row(key)
                 row[aggregate_marker] = value
                 # The lifted variable is represented by its already-reduced
                 # aggregate; local evaluation of Aggregate(op, var) will pick
                 # it up through the marker.
-                row[value_name] = _PreAggregated(value)
+                row[value_name] = PreAggregated(value)
                 return row
 
             node = ReduceByKeyNode(
@@ -901,7 +853,7 @@ class TermEvaluator:
 
         def lift(pair: Any) -> dict[str, Any]:
             key, group_rows = pair
-            row = _bind_pattern(pattern, key)
+            row = to_row(key)
             for name in lifted:
                 row[name] = [member.get(name) for member in group_rows]
             return row
@@ -955,181 +907,15 @@ class TermEvaluator:
     # local (per-task) evaluation
     # ------------------------------------------------------------------
 
-    def evaluate_local_or_dataset(self, term: ir.Term, bindings: dict[str, Any]) -> Any:
-        """Evaluate locally, but allow the result to be a driver Dataset."""
-        if isinstance(term, ir.CVar) and term.name not in bindings:
-            return self._lookup(term.name, bindings)
-        if isinstance(term, (ir.Comprehension, ir.Merge, ir.MergeWith, ir.RangeTerm)):
-            free = ir.free_variables(term)
-            if not (free & set(bindings)):
-                return self.evaluate(term)
-        return self.evaluate_local(term, bindings)
-
     def evaluate_local(self, term: ir.Term, bindings: dict[str, Any]) -> Any:
-        """Evaluate a scalar (or local-bag) term under per-row bindings."""
-        if isinstance(term, ir.CVar):
-            return self._lookup(term.name, bindings)
-        if isinstance(term, ir.CConst):
-            return term.value
-        if isinstance(term, ir.CTuple):
-            return tuple(self.evaluate_local(e, bindings) for e in term.elements)
-        if isinstance(term, ir.CRecord):
-            return {name: self.evaluate_local(e, bindings) for name, e in term.fields}
-        if isinstance(term, ir.CProject):
-            return operators.project_value(self.evaluate_local(term.base, bindings), term.attribute)
-        if isinstance(term, ir.CBinOp):
-            if term.op == "&&":
-                return bool(self.evaluate_local(term.left, bindings)) and bool(
-                    self.evaluate_local(term.right, bindings)
-                )
-            if term.op == "||":
-                return bool(self.evaluate_local(term.left, bindings)) or bool(
-                    self.evaluate_local(term.right, bindings)
-                )
-            left = self.evaluate_local(term.left, bindings)
-            right = self.evaluate_local(term.right, bindings)
-            return operators.apply_binary(term.op, left, right, self.env.monoids)
-        if isinstance(term, ir.CUnaryOp):
-            return operators.apply_unary(term.op, self.evaluate_local(term.operand, bindings))
-        if isinstance(term, ir.CCall):
-            if term.function == "_update_field":
-                record = self.evaluate_local(term.arguments[0], bindings)
-                attribute = self.evaluate_local(term.arguments[1], bindings)
-                value = self.evaluate_local(term.arguments[2], bindings)
-                return operators.update_field(record, str(attribute), value)
-            if term.function not in self.env.functions:
-                raise ExecutionError(f"unknown function {term.function!r}")
-            function = self.env.functions.get(term.function)
-            arguments = [self.evaluate_local(a, bindings) for a in term.arguments]
-            return function(*arguments)
-        if isinstance(term, ir.Aggregate):
-            operand = self.evaluate_local(term.operand, bindings)
-            return self._aggregate(term.op, operand)
-        if isinstance(term, ir.InRange):
-            value = self.evaluate_local(term.value, bindings)
-            lower = self.evaluate_local(term.lower, bindings)
-            upper = self.evaluate_local(term.upper, bindings)
-            return lower <= value <= upper
-        if isinstance(term, ir.RangeTerm):
-            lower = int(self.evaluate_local(term.lower, bindings))
-            upper = int(self.evaluate_local(term.upper, bindings))
-            return list(range(lower, upper + 1))
-        if isinstance(term, ir.Comprehension):
-            return self._local_comprehension(term, bindings)
-        if isinstance(term, ir.EmptyBag):
-            return []
-        raise ExecutionError(f"cannot evaluate term {term!r} locally")
+        """Evaluate a scalar (or local-bag) term under ``bindings`` at the driver.
 
-    def _aggregate(self, op: str, operand: Any) -> Any:
-        if isinstance(operand, _PreAggregated):
-            return operand.value
-        monoid = self.env.monoids.get(op)
-        bag = self._as_local_bag(operand)
-        return monoid.reduce(bag)
-
-    def _local_comprehension(self, comp: ir.Comprehension, bindings: dict[str, Any]) -> list[Any]:
-        """Evaluate a comprehension entirely locally (no dataset operations)."""
-        rows: list[dict[str, Any]] = [dict(bindings)]
-        for qualifier in comp.qualifiers:
-            if isinstance(qualifier, ir.Generator):
-                next_rows: list[dict[str, Any]] = []
-                for row in rows:
-                    bag = self._as_local_bag(self.evaluate_local_or_dataset(qualifier.domain, row))
-                    for element in bag:
-                        next_rows.append({**row, **_bind_pattern(qualifier.pattern, element)})
-                rows = next_rows
-            elif isinstance(qualifier, ir.LetBinding):
-                rows = [
-                    {
-                        **row,
-                        **_bind_pattern(
-                            qualifier.pattern, self.evaluate_local_or_dataset(qualifier.term, row)
-                        ),
-                    }
-                    for row in rows
-                ]
-            elif isinstance(qualifier, ir.Condition):
-                rows = [row for row in rows if bool(self.evaluate_local(qualifier.term, row))]
-            elif isinstance(qualifier, ir.GroupBy):
-                rows = self._local_group_by(qualifier, rows, bindings)
-            else:
-                raise ExecutionError(f"unknown qualifier {qualifier!r}")
-        return [self.evaluate_local(comp.head, row) for row in rows]
-
-    def _local_group_by(
-        self, qualifier: ir.GroupBy, rows: list[dict[str, Any]], outer: dict[str, Any]
-    ) -> list[dict[str, Any]]:
-        key_term = qualifier.key_term()
-        pattern_variables = set(qualifier.pattern.variables())
-        groups: dict[Any, list[dict[str, Any]]] = {}
-        order: list[Any] = []
-        for row in rows:
-            key = self.evaluate_local(key_term, row)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        lifted_names: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in outer and name not in pattern_variables and name not in lifted_names:
-                    lifted_names.append(name)
-        result: list[dict[str, Any]] = []
-        for key in order:
-            members = groups[key]
-            new_row = dict(outer)
-            new_row.update(_bind_pattern(qualifier.pattern, key))
-            for name in lifted_names:
-                new_row[name] = [member.get(name) for member in members]
-            result.append(new_row)
-        return result
-
-    def _as_local_bag(self, value: Any) -> list[Any]:
-        if isinstance(value, Dataset):
-            cache_key = id(value)
-            entry = self._local_bag_cache.get(cache_key)
-            # The identity check guards against id() reuse: holding the
-            # dataset in the entry keeps it alive, so a live cache entry can
-            # only collide with a *different* object if the entry was
-            # planted externally -- recompute in that case.
-            if entry is not None and entry[0] is value:
-                return entry[1]
-            collected = value.collect()
-            self._local_bag_cache[cache_key] = (value, collected)
-            return collected
-        if isinstance(value, dict):
-            return list(value.items())
-        if isinstance(value, (list, tuple, set)):
-            return list(value)
-        return [value]
-
-    def _lookup(self, name: str, bindings: dict[str, Any]) -> Any:
-        if name in bindings:
-            return bindings[name]
-        if name in self.env.values:
-            return self.env.values[name]
-        raise ExecutionError(f"undefined variable {name!r}")
-
-
-@dataclass
-class _PreAggregated:
-    """Marker wrapper for a lifted variable that was already reduced by
-    reduceByKey; ``Aggregate`` over it returns the value unchanged."""
-
-    value: Any
-
-
-def _bind_pattern(pattern: ir.Pattern, value: Any) -> dict[str, Any]:
-    """Destructure ``value`` according to ``pattern``, producing bindings."""
-    if isinstance(pattern, ir.PVar):
-        return {pattern.name: value}
-    if isinstance(pattern, ir.PWildcard):
-        return {}
-    if isinstance(pattern, ir.PTuple):
-        if not isinstance(value, (tuple, list)) or len(value) != len(pattern.elements):
-            raise ExecutionError(f"cannot bind pattern {pattern} to value {value!r}")
-        bindings: dict[str, Any] = {}
-        for sub_pattern, sub_value in zip(pattern.elements, value, strict=False):
-            bindings.update(_bind_pattern(sub_pattern, sub_value))
-        return bindings
-    raise ExecutionError(f"unknown pattern {pattern!r}")
+        A thin wrapper over the term compiler: each term is compiled once per
+        evaluator and the closure is called with ``bindings`` as its row.
+        Record functions call their compiled closures directly.
+        """
+        entry = self._compiled_terms.get(id(term))
+        if entry is None or entry[0] is not term:
+            entry = (term, self._compiler.term(term))
+            self._compiled_terms[id(term)] = entry
+        return entry[1](bindings)

@@ -8,58 +8,68 @@ rely on).
 
 from __future__ import annotations
 
-from typing import Any
+import operator
+from typing import Any, Callable
 
 from repro.comprehension.monoids import MonoidRegistry
 from repro.errors import ExecutionError
 
 
-def apply_binary(op: str, left: Any, right: Any, monoids: MonoidRegistry | None = None) -> Any:
-    """Apply a loop-language binary operator to two values.
+def _divide(left: Any, right: Any) -> Any:
+    """``/``: exact integer quotients stay ints, everything else divides."""
+    if isinstance(left, int) and isinstance(right, int) and right != 0 and left % right == 0:
+        return left // right
+    return left / right
+
+
+#: The loop-language binary operators (``&&``/``||`` here take evaluated
+#: operands; short-circuiting is the caller's business).
+BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "&&": lambda left, right: bool(left) and bool(right),
+    "||": lambda left, right: bool(left) or bool(right),
+}
+
+#: The loop-language unary operators.
+UNARY_OPERATORS: dict[str, Callable[[Any], Any]] = {"-": operator.neg, "!": lambda operand: not bool(operand)}
+
+
+def binary_function(op: str, monoids: MonoidRegistry | None = None) -> Callable[[Any, Any], Any] | None:
+    """The function implementing ``op``, or None when it is unknown.
 
     Unknown operators fall back to the monoid registry (custom commutative
     operators such as KMeans' ``^`` / ``^^``).
     """
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int) and right != 0 and left % right == 0:
-            return left // right
-        return left / right
-    if op == "%":
-        return left % right
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "&&":
-        return bool(left) and bool(right)
-    if op == "||":
-        return bool(left) or bool(right)
-    if monoids is not None and op in monoids:
-        return monoids.get(op).combine(left, right)
-    raise ExecutionError(f"unknown binary operator {op!r}")
+    function = BINARY_OPERATORS.get(op)
+    if function is None and monoids is not None and op in monoids:
+        function = monoids.get(op).combine
+    return function
+
+
+def apply_binary(op: str, left: Any, right: Any, monoids: MonoidRegistry | None = None) -> Any:
+    """Apply a loop-language binary operator to two values."""
+    function = binary_function(op, monoids)
+    if function is None:
+        raise ExecutionError(f"unknown binary operator {op!r}")
+    return function(left, right)
 
 
 def apply_unary(op: str, operand: Any) -> Any:
     """Apply a loop-language unary operator."""
-    if op == "-":
-        return -operand
-    if op == "!":
-        return not bool(operand)
-    raise ExecutionError(f"unknown unary operator {op!r}")
+    function = UNARY_OPERATORS.get(op)
+    if function is None:
+        raise ExecutionError(f"unknown unary operator {op!r}")
+    return function(operand)
 
 
 def project_value(value: Any, attribute: str) -> Any:

@@ -255,7 +255,7 @@ class TestLocalBagCache:
         fresh = ctx.parallelize(["fresh"])
         # Simulate the historical failure mode: an entry recorded under the
         # *fresh* dataset's id but holding a different (collected) object.
-        ev._local_bag_cache[id(fresh)] = (stale, ["stale"])
+        ev._as_local_bag.entries[id(fresh)] = (stale, ["stale"])
         assert ev._as_local_bag(fresh) == ["fresh"], "stale bag must not be served"
 
     def test_repeated_collects_hit_the_cache(self, ctx):
