@@ -6,8 +6,12 @@ as its own plugin module while the benchmark files import it as
 result list here -- a module both sides import normally -- guarantees exactly
 one list exists no matter how the conftest was loaded.
 
-Results are merged into ``BENCH_results.json`` at the repository root keyed
-by (workload, size, system, method): a partial run
+Results are merged into the file the ``BENCH_RESULTS_PATH`` environment
+variable names, keyed by (workload, size, system, method); without the
+variable a session writes nothing, so running the suite never rewrites the
+committed ``BENCH_results.json`` baseline.  Re-record that baseline on
+purpose with ``BENCH_RESULTS_PATH=BENCH_results.json python -m pytest
+benchmarks`` from the repository root.  A partial run
 (``pytest benchmarks/test_xyz.py`` or a ``-k`` selection) updates only the
 entries it actually measured and preserves the rest of the tracked
 trajectory.  ``method`` distinguishes single-run shape-test timings from
@@ -22,22 +26,19 @@ import os
 from pathlib import Path
 from typing import Any
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
-
 #: Entries recorded during this session.
 _RESULTS: list[dict[str, Any]] = []
 
 
-def results_path() -> Path:
-    """Where this session's results are merged.
+def results_path() -> Path | None:
+    """Where this session's results are merged; None when nothing is written.
 
-    The ``BENCH_RESULTS_PATH`` environment variable redirects the output --
-    the perf-regression gate uses it to collect a fresh run without touching
-    the committed baseline, and the nightly job uses it to upload scaled-size
-    results as an artifact.
+    Only the ``BENCH_RESULTS_PATH`` environment variable names the file --
+    the perf-regression gate uses it to collect a fresh run, the nightly job
+    to upload scaled-size results as an artifact.
     """
     override = os.environ.get("BENCH_RESULTS_PATH")
-    return Path(override) if override else RESULTS_PATH
+    return Path(override) if override else None
 
 
 def record_entry(entry: dict[str, Any]) -> None:
@@ -50,10 +51,11 @@ def _key(entry: dict[str, Any]) -> tuple:
 
 
 def write_results(path: Path | None = None) -> None:
-    """Merge this session's entries into the results file (no-op when empty)."""
-    if not _RESULTS:
-        return
+    """Merge this session's entries into the results file (no-op when empty
+    or when no file is named)."""
     target = path or results_path()
+    if not _RESULTS or target is None:
+        return
     merged: dict[tuple, dict[str, Any]] = {}
     if target.exists():
         try:

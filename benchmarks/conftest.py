@@ -5,11 +5,12 @@ scale.  Wall-clock numbers are machine dependent; the assertions attached to
 the benchmarks check the *shapes* the paper reports (who wins, where the
 generated plans shuffle more) using the runtime's structural metrics.
 
-Every run that goes through the helpers below is also recorded and dumped to
-``BENCH_results.json`` at the repository root when the session ends: one
+Every run that goes through the helpers below is also recorded and, when
+the session ends, merged into the file ``BENCH_RESULTS_PATH`` names: one
 entry per (workload, size, system) with wall seconds plus the shuffle-side
 structural metrics, so the performance trajectory is tracked across PRs
-without digging into pytest-benchmark's storage.
+without digging into pytest-benchmark's storage.  Without that variable
+nothing is written (see :mod:`benchmarks._recording`).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def record_run(
 
 
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    """Merge every recorded run into BENCH_results.json at the repo root."""
+    """Merge every recorded run into the ``BENCH_RESULTS_PATH`` file, if set."""
     write_results()
 
 

@@ -1,15 +1,18 @@
 """Columnar vectorized execution: batch kernels vs. the record path.
 
-Runs numeric Figure 3 workloads three times on identical inputs -- with the
-record-at-a-time engine, with ``columnar=True`` and with the default
-``columnar="auto"`` -- and records all three series, so BENCH_results.json
-carries record/columnar/auto rows per workload and the perf gate tracks all
-of them across PRs.  The result assertion is the tentpole contract: every
-vectorized run must be bit-identical to the record path, with the batch
-kernels demonstrably engaged.
+Runs numeric Figure 3 workloads twice on identical inputs -- with the
+record-at-a-time engine (``columnar=False``) and with the default
+``columnar=True`` -- and records both series, so BENCH_results.json carries
+a records row and a columnar row per workload and the perf gate tracks both
+across PRs.  The columnar series keeps the system name
+``diablo-columnar-auto`` it was recorded under when the same policy (batch
+only fully lowerable chains) was the ``"auto"`` setting, so the gate keeps
+comparing it against the committed baseline.  The result assertion is
+the engine's contract: every vectorized run must be bit-identical to the
+record path, with the batch kernels demonstrably engaged.
 
-The coverage panel additionally runs *every* Figure 3 program once under
-auto mode and records its plan-time vectorization outcome
+The coverage panel additionally runs *every* Figure 3 program once with
+columnar on and records its plan-time vectorization outcome
 (``vectorized_stages`` / ``columnar_fallbacks`` plus the batch-runtime
 counters), so per-program columnar coverage is tracked in the results file
 alongside the wall times.
@@ -35,17 +38,16 @@ COLUMNAR_SIZES = {
     "word_count": 20_000 * BENCH_SIZE_SCALE,
 }
 
-#: columnar mode -> recorded system name.
+#: columnar setting -> recorded system name.
 SYSTEMS = {
     False: "diablo-records",
-    True: "diablo-columnar",
-    "auto": "diablo-columnar-auto",
+    True: "diablo-columnar-auto",
 }
 
 ROUNDS = 7
 
 
-def _run_once(name: str, size: int, columnar):
+def _run_once(name: str, size: int, columnar: bool):
     spec = get_program(name)
     inputs = workload_for_program(name, size)
     with DistributedContext(num_partitions=4, columnar=columnar) as context:
@@ -70,28 +72,25 @@ def test_columnar_matches_record_path_and_engages(name):
     size = COLUMNAR_SIZES[name]
     record_outputs, record_vectorized = _run_once(name, size, columnar=False)
     columnar_outputs, columnar_vectorized = _run_once(name, size, columnar=True)
-    auto_outputs, auto_vectorized = _run_once(name, size, columnar="auto")
     assert record_vectorized == 0, "columnar=False must never vectorize"
     assert columnar_vectorized > 0, f"{name}: batch kernels never engaged"
-    assert auto_vectorized > 0, f"{name}: auto mode never engaged the kernels"
     assert columnar_outputs == record_outputs, f"{name}: columnar diverged"
-    assert auto_outputs == record_outputs, f"{name}: auto mode diverged"
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE3_BENCH_SIZES))
 def test_columnar_coverage_panel(name):
-    """One auto-mode run per Figure 3 panel, recording coverage counters."""
+    """One columnar run per Figure 3 panel, recording coverage counters."""
     size = FIGURE3_BENCH_SIZES[name][0]
     spec = get_program(name)
     inputs = workload_for_program(name, size)
-    with DistributedContext(num_partitions=4, columnar="auto") as context:
+    with DistributedContext(num_partitions=4, columnar=True) as context:
         compiled = diablo_for(spec, context).compile(spec.source)
         started = time.perf_counter()
         result = compiled.run(**inputs)
         record_run(
             name,
             size,
-            "diablo-columnar-auto",
+            SYSTEMS[True],
             time.perf_counter() - started,
             context,
             method="coverage",
@@ -100,4 +99,4 @@ def test_columnar_coverage_panel(name):
     with DistributedContext(num_partitions=4, columnar=False) as context:
         compiled = diablo_for(spec, context).compile(spec.source)
         reference = translated_outputs(name, compiled.run(**inputs))
-    assert outputs == reference, f"{name}: auto mode diverged from the record path"
+    assert outputs == reference, f"{name}: columnar run diverged from the record path"

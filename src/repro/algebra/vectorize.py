@@ -1,13 +1,16 @@
 """Lowering comprehension terms to columnar batch kernels.
 
 The term evaluator builds each narrow plan node around a record closure
-(bind a generator element, filter on a condition term, project the head).
-This module inspects the *term* behind such a closure and, when it is pure
-scalar arithmetic/comparison over row variables, driver bindings and
-constants, produces the matching vectorized record function from
-:mod:`repro.runtime.columnar` -- with the original closure attached as the
-``oracle``, so record-at-a-time execution is byte-for-byte the closure it
-replaces and only the batch path is new.
+that :mod:`repro.algebra.termc` compiled from an IR term (bind a generator
+element, filter on a condition term, project the head).  This module
+inspects the *term* behind such a closure and, when it is pure scalar
+arithmetic/comparison over row variables, driver bindings and constants,
+produces the matching vectorized record function from
+:mod:`repro.runtime.columnar`.  The compiled closure is the required
+``oracle``: it *is* the record path, so a lowered term adds only a batch
+kernel and never a second record-at-a-time semantics.  With ``columnar``
+on (the default) the runtime runs the kernel when a whole chain lowered;
+with it off, only the oracle runs.
 
 Every function here returns ``None`` when the term falls outside the
 vectorizable fragment (projections, comprehensions, unregistered calls, ...);
@@ -104,12 +107,6 @@ def pattern_spec(pattern: ir.Pattern) -> tuple[Any, ...] | None:
     return None
 
 
-def _scope(
-    base: dict[str, Any], values_provider: Callable[[], dict[str, Any]]
-) -> columnar.ScalarScope:
-    return columnar.ScalarScope(base, values_provider)
-
-
 def head_map(
     head: ir.Term,
     row_names: frozenset[str],
@@ -122,7 +119,8 @@ def head_map(
     spec = lower_output(head, row_names, functions)
     if spec is None:
         return None
-    return columnar.VectorizedMap(spec, _scope(base, values_provider), oracle=oracle)
+    scope = columnar.ScalarScope(base, values_provider)
+    return columnar.VectorizedMap(spec, scope, oracle=oracle)
 
 
 def row_filter(
@@ -137,7 +135,8 @@ def row_filter(
     predicate = lower_term(term, row_names, functions)
     if predicate is None:
         return None
-    return columnar.VectorizedFilter(predicate, _scope(base, values_provider), oracle=oracle)
+    scope = columnar.ScalarScope(base, values_provider)
+    return columnar.VectorizedFilter(predicate, scope, oracle=oracle)
 
 
 def extend_flat_map(
@@ -191,7 +190,7 @@ def let_map(
     if expr is None:
         return None
     return columnar.VectorizedLet(
-        pattern.name, expr, _scope(base, values_provider), oracle=oracle
+        pattern.name, expr, columnar.ScalarScope(base, values_provider), oracle=oracle
     )
 
 
@@ -209,7 +208,8 @@ def key_value_map(
     if key_spec is None:
         return None
     out = columnar.OutTuple([key_spec, columnar.Col((value_name,))])
-    return columnar.VectorizedMap(out, _scope(base, values_provider), oracle=oracle)
+    scope = columnar.ScalarScope(base, values_provider)
+    return columnar.VectorizedMap(out, scope, oracle=oracle)
 
 
 def vector_combine(op: str, fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:

@@ -245,7 +245,7 @@ class ClusterContext(DistributedContext):
             spill_threshold_bytes=config.spill_threshold_bytes,
             spill_dir=config.spill_dir,
             plan_optimize=getattr(config, "plan_optimize", True),
-            columnar=getattr(config, "columnar", None),
+            columnar=getattr(config, "columnar", True),
             adaptive=getattr(config, "adaptive", True),
             plan_cache=getattr(config, "plan_cache", True),
         )

@@ -14,31 +14,32 @@ This module executes such chains one *partition* at a time instead:
   the row dicts the comprehension evaluator binds.
 * :class:`Expr` trees (:class:`Col` / :class:`Ref` / :class:`Lit` /
   :class:`BinOp` / :class:`UnOp` / :class:`Call`) evaluate a scalar term over
-  every record at once, with exactly the semantics of
-  :func:`repro.operators.apply_binary` -- including true/integer division and
+  every record at once (they have no per-record evaluation), with exactly
+  the semantics of :func:`repro.operators.apply_binary` -- including true/integer division and
   modulo (``/`` and ``%`` fall back on zero divisors and on integer ranges
   where numpy's double rounding could diverge) and the pure scalar builtins
   in :data:`VECTOR_CALL_IMPLS` (``abs``/``min``/``max``).
 * :class:`VectorizedMap` / :class:`VectorizedFilter` /
-  :class:`VectorizedMapValues` / :class:`VectorizedBind` /
+  :class:`VectorizedBind` / :class:`VectorizedLet` /
   :class:`VectorizedFlatMap` are *callable record functions* that
   additionally carry an ``apply_batch`` kernel (flat_map covers the
   constant-fan-out shapes the evaluator and planner emit: tuple-of-heads
   expansion and row extension with literal bindings), and
   :func:`combine_batch` is the grouped kernel behind vectorized
-  ``("reduce", fn)`` / ``("seq", zero, seq_op)`` map-side combiners as well
-  as the ``("group",)`` grouped-collect used by high-duplication
-  ``group_by_key``.
+  ``("reduce", fn)`` / ``("seq", zero, seq_op)`` map-side combiners.
 
-**The record path is the oracle.**  Every vectorized function holds the
-original record-at-a-time closure (``oracle``) and delegates ``__call__`` to
-it, so plans built with these functions behave *identically* to the classic
-engine unless a caller explicitly opts into ``apply_batch``.  Batch kernels
-either produce bit-identical results or raise :class:`ColumnarFallback`
-(mixed-type columns, ragged records, integer ranges where numpy's fixed-width
-arithmetic could diverge from Python's arbitrary precision, IEEE corner cases
-such as NaN / negative zero under ``min``/``max``); the caller then re-runs
-the records through the oracle.  Fallback is therefore always safe: kernels
+**The record path is the compiled-term oracle.**  Every vectorized function
+requires the record closure :mod:`repro.algebra.termc` compiled from the same
+IR term (``oracle``), and ``__call__`` simply calls it: there is one
+record-at-a-time semantics, not a second copy here.  Plans built with these
+functions behave *identically* to the record engine unless the runtime runs
+``apply_batch`` (``columnar=True``, the default, for fully lowerable chains;
+see :func:`repro.runtime.stage.compose`).  Batch kernels either produce
+bit-identical results or raise :class:`ColumnarFallback` (mixed-type columns,
+ragged records, integer ranges where numpy's fixed-width arithmetic could
+diverge from Python's arbitrary precision, IEEE corner cases such as NaN /
+negative zero under ``min``/``max``); the caller then re-runs the records
+through the oracle.  Fallback is therefore always safe: kernels
 are pure and never mutate their input partition.
 """
 
@@ -235,7 +236,7 @@ class ColumnarPartition:
 
     Pickles with the default protocol (templates are tuples of strings;
     columns are numpy arrays or lists), so columnar payloads can cross the
-    process-executor boundary like any other partition data.
+    cluster wire like any other partition data.
     """
 
     def __init__(self, template: Any, columns: list[Any], length: int):
@@ -576,7 +577,8 @@ def batch_unop(op: str, operand: Any, length: int) -> Any:
 class ScalarScope:
     """Driver-level name resolution for :class:`Ref` nodes.
 
-    Mirrors the evaluator's ``_lookup``: the lowering-time binding snapshot
+    Mirrors the compiled term's variable lookup (:mod:`repro.algebra.termc`)
+    for names the row does not bind: the lowering-time binding snapshot
     first, then the live program environment.  ``values_provider`` is a
     zero-argument callable returning the *current* environment dict, so a
     plan node cached across loop iterations sees each iteration's updated
@@ -602,12 +604,9 @@ class ScalarScope:
 
 
 class Expr:
-    """A scalar expression evaluable per record or over a whole partition."""
+    """A scalar expression evaluated over a whole partition at once."""
 
     def batch(self, part: ColumnarPartition, scope: ScalarScope) -> Any:
-        raise NotImplementedError
-
-    def record(self, record: Any, scope: ScalarScope) -> Any:
         raise NotImplementedError
 
 
@@ -619,12 +618,6 @@ class Col(Expr):
 
     def batch(self, part: ColumnarPartition, scope: ScalarScope) -> Any:
         return part.leaf(self.path)
-
-    def record(self, record: Any, scope: ScalarScope) -> Any:
-        value = record
-        for step in self.path:
-            value = value[step]
-        return value
 
     def __repr__(self) -> str:
         return f"Col({'.'.join(map(str, self.path))})"
@@ -642,9 +635,6 @@ class Ref(Expr):
             raise ColumnarFallback(f"variable {self.name!r} is not a scalar")
         return value
 
-    def record(self, record: Any, scope: ScalarScope) -> Any:
-        return scope.resolve(self.name)
-
     def __repr__(self) -> str:
         return f"Ref({self.name})"
 
@@ -656,9 +646,6 @@ class Lit(Expr):
         self.value = value
 
     def batch(self, part: ColumnarPartition, scope: ScalarScope) -> Any:
-        return self.value
-
-    def record(self, record: Any, scope: ScalarScope) -> Any:
         return self.value
 
     def __repr__(self) -> str:
@@ -676,9 +663,6 @@ class BinOp(Expr):
             self.op, self.left.batch(part, scope), self.right.batch(part, scope), part.length
         )
 
-    def record(self, record: Any, scope: ScalarScope) -> Any:
-        return apply_binary(self.op, self.left.record(record, scope), self.right.record(record, scope))
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -691,9 +675,6 @@ class UnOp(Expr):
     def batch(self, part: ColumnarPartition, scope: ScalarScope) -> Any:
         return batch_unop(self.op, self.operand.batch(part, scope), part.length)
 
-    def record(self, record: Any, scope: ScalarScope) -> Any:
-        return apply_unary(self.op, self.operand.record(record, scope))
-
     def __repr__(self) -> str:
         return f"{self.op}({self.operand!r})"
 
@@ -703,8 +684,8 @@ class Call(Expr):
 
     Only constructed by the lowering after checking the program's function
     registry still maps ``function`` to the exact builtin in
-    :data:`VECTOR_CALL_IMPLS`; the record path applies that same builtin, so
-    both paths share one implementation.
+    :data:`VECTOR_CALL_IMPLS`; the oracle calls that same builtin through the
+    registry, so both paths share one implementation.
     """
 
     def __init__(self, function: str, args: Iterable[Expr]):
@@ -714,10 +695,6 @@ class Call(Expr):
     def batch(self, part: ColumnarPartition, scope: ScalarScope) -> Any:
         operands = [arg.batch(part, scope) for arg in self.args]
         return batch_call(self.function, operands, part.length)
-
-    def record(self, record: Any, scope: ScalarScope) -> Any:
-        impl = VECTOR_CALL_IMPLS[self.function]
-        return impl(*(arg.record(record, scope) for arg in self.args))
 
     def __repr__(self) -> str:
         return f"Call({self.function}, {self.args!r})"
@@ -741,26 +718,23 @@ class OutTuple:
 class VectorizedFunction:
     """A record function that also knows how to process a whole partition.
 
-    ``__call__`` *is* the record path: it delegates to ``oracle`` -- the
-    original closure this instance annotates -- whenever one was supplied, so
-    wrapping a plan function in a vectorized marker never changes classic
-    record-at-a-time results.  ``apply_batch`` maps a
+    ``oracle`` is required: it is the record closure the plan builder made
+    from the same term with :mod:`repro.algebra.termc`, and ``__call__``
+    simply calls it, so wrapping a plan function in a vectorized marker
+    never changes record-at-a-time results.  ``apply_batch`` maps a
     :class:`ColumnarPartition` to a new one (or raises
     :class:`ColumnarFallback`).
     """
 
-    def __init__(self, oracle: Callable[..., Any] | None = None):
+    def __init__(self, oracle: Callable[..., Any]):
+        if not callable(oracle):
+            raise TypeError(f"{type(self).__name__} needs a callable record-path oracle")
         self.oracle = oracle
 
     def __call__(self, *args: Any) -> Any:
-        if self.oracle is not None:
-            return self.oracle(*args)
-        return self.apply_record(*args)
+        return self.oracle(*args)
 
     def apply_batch(self, part: ColumnarPartition) -> ColumnarPartition:
-        raise NotImplementedError
-
-    def apply_record(self, *args: Any) -> Any:
         raise NotImplementedError
 
 
@@ -781,13 +755,6 @@ def _build_output(spec: Any, part: ColumnarPartition, scope: ScalarScope) -> tup
     if not _is_column(column):
         column = _broadcast(column, part.length)
     return "*", [column]
-
-
-def _record_output(spec: Any, record: Any, scope: ScalarScope) -> Any:
-    """Evaluate one output spec for a single record (the oracle shape)."""
-    if isinstance(spec, OutTuple):
-        return tuple(_record_output(element, record, scope) for element in spec.specs)
-    return spec.record(record, scope)
 
 
 def _interleave(columns: list[Any], count: int, fan_out: int) -> Any:
@@ -820,7 +787,9 @@ class VectorizedMap(VectorizedFunction):
     group-by lowering emits).
     """
 
-    def __init__(self, out: Any, scope: ScalarScope | None = None, oracle: Any = None):
+    def __init__(
+        self, out: Any, scope: ScalarScope | None = None, *, oracle: Callable[..., Any]
+    ):
         super().__init__(oracle)
         self.out = out
         self.scope = scope or ScalarScope()
@@ -829,22 +798,13 @@ class VectorizedMap(VectorizedFunction):
         template, columns = _build_output(self.out, part, self.scope)
         return ColumnarPartition(template, columns, part.length)
 
-    def _build(self, spec: Any, part: ColumnarPartition) -> tuple[Any, list[Any]]:
-        return _build_output(spec, part, self.scope)
-
-    def apply_record(self, record: Any) -> Any:
-        return self._record_value(self.out, record)
-
-    def _record_value(self, spec: Any, record: Any) -> Any:
-        if isinstance(spec, OutTuple):
-            return tuple(self._record_value(element, record) for element in spec.specs)
-        return spec.record(record, self.scope)
-
 
 class VectorizedFilter(VectorizedFunction):
     """A ``filter`` whose predicate is an :class:`Expr` (truthiness applies)."""
 
-    def __init__(self, predicate: Expr, scope: ScalarScope | None = None, oracle: Any = None):
+    def __init__(
+        self, predicate: Expr, scope: ScalarScope | None = None, *, oracle: Callable[..., Any]
+    ):
         super().__init__(oracle)
         self.predicate = predicate
         self.scope = scope or ScalarScope()
@@ -854,34 +814,6 @@ class VectorizedFilter(VectorizedFunction):
         if not _is_column(mask):
             return part if bool(mask) else part.empty()
         return part.compress(_to_bool(mask, part.length))
-
-    def apply_record(self, record: Any) -> Any:
-        return bool(self.predicate.record(record, self.scope))
-
-
-class VectorizedMapValues(VectorizedFunction):
-    """A ``map_values`` whose value transform is an :class:`Expr` (paths are
-    relative to the pair's *value*)."""
-
-    def __init__(self, expr: Expr, scope: ScalarScope | None = None, oracle: Any = None):
-        super().__init__(oracle)
-        self.expr = expr
-        self.scope = scope or ScalarScope()
-
-    def apply_batch(self, part: ColumnarPartition) -> ColumnarPartition:
-        template = part.template
-        if template == "*" or template[0] != "tuple" or len(template[1]) != 2:
-            raise ColumnarFallback("map_values needs (key, value) records")
-        key = part.subpart((0,))
-        column = self.expr.batch(part.subpart((1,)), self.scope)
-        if not _is_column(column):
-            column = _broadcast(column, part.length)
-        return ColumnarPartition(
-            ("tuple", (key.template, "*")), list(key.columns) + [column], part.length
-        )
-
-    def apply_record(self, value: Any) -> Any:
-        return self.expr.record(value, self.scope)
 
 
 class VectorizedBind(VectorizedFunction):
@@ -893,7 +825,7 @@ class VectorizedBind(VectorizedFunction):
     template as a row dict without touching a single value.
     """
 
-    def __init__(self, pattern: tuple[Any, ...], oracle: Any = None):
+    def __init__(self, pattern: tuple[Any, ...], *, oracle: Callable[..., Any]):
         super().__init__(oracle)
         self.pattern = pattern
 
@@ -923,22 +855,6 @@ class VectorizedBind(VectorizedFunction):
             raise ColumnarFallback("duplicate pattern variable")
         return ColumnarPartition(("dict", tuple(names), tuple(templates)), columns, part.length)
 
-    def apply_record(self, element: Any) -> dict[str, Any]:
-        row: dict[str, Any] = {}
-
-        def bind(spec: tuple[Any, ...], value: Any) -> None:
-            kind = spec[0]
-            if kind == "var":
-                row[spec[1]] = value
-            elif kind == "tuple":
-                if not isinstance(value, (tuple, list)) or len(value) != len(spec[1]):
-                    raise ExecutionError(f"cannot bind pattern to value {value!r}")
-                for sub, element_value in zip(spec[1], value, strict=False):
-                    bind(sub, element_value)
-
-        bind(self.pattern, element)
-        return row
-
 
 class VectorizedLet(VectorizedFunction):
     """The let-binding ``map``: ``row -> {**row, name: expr(row)}``.
@@ -948,7 +864,9 @@ class VectorizedLet(VectorizedFunction):
     kernel extends the surrounding segment instead of splitting it.
     """
 
-    def __init__(self, name: str, expr: Expr, scope: ScalarScope | None = None, oracle: Any = None):
+    def __init__(
+        self, name: str, expr: Expr, scope: ScalarScope | None = None, *, oracle: Callable[..., Any]
+    ):
         super().__init__(oracle)
         self.name = name
         self.expr = expr
@@ -971,9 +889,6 @@ class VectorizedLet(VectorizedFunction):
             list(part.columns) + [column],
             part.length,
         )
-
-    def apply_record(self, row: Any) -> dict[str, Any]:
-        return {**row, self.name: self.expr.record(row, self.scope)}
 
 
 class VectorizedFlatMap(VectorizedFunction):
@@ -998,7 +913,9 @@ class VectorizedFlatMap(VectorizedFunction):
     comprehension bit for bit.
     """
 
-    def __init__(self, spec: tuple[Any, ...], scope: ScalarScope | None = None, oracle: Any = None):
+    def __init__(
+        self, spec: tuple[Any, ...], scope: ScalarScope | None = None, *, oracle: Callable[..., Any]
+    ):
         super().__init__(oracle)
         self.spec = spec
         self.scope = scope or ScalarScope()
@@ -1057,15 +974,6 @@ class VectorizedFlatMap(VectorizedFunction):
             part.length * fan_out,
         )
 
-    def apply_record(self, record: Any) -> list[Any]:
-        if self.spec[0] == "tuple":
-            return [_record_output(out, record, self.scope) for out in self.spec[1]]
-        names, exts = self.spec[1], self.spec[2]
-        return [
-            {**record, **{name: expr.record(record, self.scope) for name, expr in zip(names, ext, strict=False)}}
-            for ext in exts
-        ]
-
 
 class VectorizedCombine:
     """A key-value combiner carrying its monoid operator symbol.
@@ -1095,8 +1003,10 @@ class VectorizedCombine:
 
 def combiner_vectorizable(combiner: tuple[Any, ...]) -> bool:
     """Whether a combiner spec has a batch kernel: a ``("reduce", fn)`` /
-    ``("seq", zero, seq_op)`` carrying a foldable :class:`VectorizedCombine`,
-    or the adaptive layer's map-side ``("group",)`` collector."""
+    ``("seq", zero, seq_op)`` carrying a foldable :class:`VectorizedCombine`.
+    The adaptive layer's ``("group",)`` collector has none: its record path
+    is one dict append per record, and converting to columns first measured
+    about 4x slower (skewed group_by_key@60000, 4 partitions)."""
     kind = combiner[0]
     if kind == "reduce":
         fn = combiner[1]
@@ -1108,7 +1018,7 @@ def combiner_vectorizable(combiner: tuple[Any, ...]) -> bool:
             and seq_op.op in VECTOR_COMBINE_OPS
             and type(zero) in (int, float)
         )
-    return kind == "group"
+    return False
 
 
 _FOLD_UFUNC_NAMES = {"+": "add", "*": "multiply", "min": "minimum", "max": "maximum"}
@@ -1135,8 +1045,12 @@ def _guard_fold(op: str, values: Any, zero: Any = None) -> None:
             raise ColumnarFallback("NaN/negative-zero seed")
 
 
-def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
+def combine_batch(
+    combiner: tuple[Any, ...], records: list[Any], part: ColumnarPartition | None = None
+) -> list[Any]:
     """Vectorized map-side combine: group by key, fold values with a ufunc.
+
+    ``part`` is ``records`` already in columns, when the caller has them.
 
     Grouping runs through a Python dict over the *reassembled* native keys,
     so key identity (``1 == 1.0``, NaN never equalling itself, first-seen
@@ -1148,12 +1062,11 @@ def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
     """
     if np is None:
         raise ColumnarFallback("no numpy backend")
-    part = ColumnarPartition.from_records(records)
+    if part is None:
+        part = ColumnarPartition.from_records(records)
     if part is None:
         raise ColumnarFallback("records are not columnar")
     kind = combiner[0]
-    if kind == "group":
-        return _grouped_collect(part)
     template = part.template
     if template == "*" or template[0] != "tuple" or len(template[1]) != 2 or template[1][1] != "*":
         raise ColumnarFallback("combiner needs (key, scalar value) records")
@@ -1201,45 +1114,3 @@ def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
         with np.errstate(all="ignore"):
             ufunc.at(accumulator, group_ids, values)
     return list(zip(ordered_keys, accumulator.tolist(), strict=False))
-
-
-def _grouped_collect(part: ColumnarPartition) -> list[Any]:
-    """The ``("group",)`` kernel: collect each key's values in record order.
-
-    Key grouping is fully vectorized for scalar integer keys (the only case
-    where ``np.unique`` equality provably coincides with Python dict
-    hashing): ``inverse`` ranks are remapped to *first-seen* order and a
-    stable argsort gathers each group's values in record order, so the
-    result is exactly the record path's ``setdefault(key, []).append(value)``
-    dict, item for item.
-    """
-    template = part.template
-    if template == "*" or template[0] != "tuple" or len(template[1]) != 2:
-        raise ColumnarFallback("group combiner needs (key, value) records")
-    if template[1][0] != "*":
-        raise ColumnarFallback("grouped collect needs scalar keys")
-    keys_column = part.columns[0]
-    if not isinstance(keys_column, np.ndarray) or keys_column.dtype.kind != "i":
-        raise ColumnarFallback("grouped collect needs an integer key column")
-    unique, first_index, inverse = np.unique(
-        keys_column, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_index, kind="stable")
-    rank = np.empty(len(unique), dtype=np.int64)
-    rank[order] = np.arange(len(unique), dtype=np.int64)
-    group_ids = rank[inverse.reshape(-1)]
-    ordered_keys = unique[order].tolist()
-    permutation = np.argsort(group_ids, kind="stable")
-    counts = np.bincount(group_ids, minlength=len(unique))
-    value_part = part.subpart((1,))
-    if value_part.template == "*":
-        ordered_values = value_part.columns[0][permutation].tolist()
-    else:
-        values = value_part.to_records()
-        ordered_values = [values[position] for position in permutation.tolist()]
-    groups: list[list[Any]] = []
-    start = 0
-    for count in counts.tolist():
-        groups.append(ordered_values[start : start + count])
-        start += count
-    return list(zip(ordered_keys, groups, strict=False))

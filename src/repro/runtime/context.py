@@ -95,27 +95,6 @@ def _spill_threshold_from_env() -> int | None:
     return value if value > 0 else None
 
 
-def _columnar_from_env() -> bool | str:
-    """The ``DIABLO_COLUMNAR`` default: ``"auto"``, a truthy or a falsy flag.
-
-    Unset or empty means "record path" so plain contexts keep their
-    historical behaviour; the api layer's :class:`~repro.api.DiabloConfig`
-    defaults to ``"auto"`` explicitly.
-    """
-    raw = os.environ.get("DIABLO_COLUMNAR", "").strip().lower()
-    if not raw:
-        return False
-    if raw == "auto":
-        return "auto"
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(
-        f'DIABLO_COLUMNAR must be "auto", a truthy or a falsy flag, got {raw!r}'
-    )
-
-
 class DistributedContext:
     """Creates and executes datasets on the local DISC runtime.
 
@@ -137,18 +116,15 @@ class DistributedContext:
             bypass).  On by default; turning it off forces every wide
             operator down the full shuffle path (ablation / debugging knob;
             only affects performance and metrics, never results).
-        columnar: execute vectorizable narrow chains and map-side combiners
-            as columnar batch kernels (see :mod:`repro.runtime.columnar`).
-            ``True`` batches every vectorizable run; ``"auto"`` batches only
-            fully lowerable chains (and memoizes runtime fallbacks, so a
+        columnar: execute fully lowerable narrow chains and vectorizable
+            map-side combiners as columnar batch kernels (see
+            :mod:`repro.runtime.columnar`), memoizing runtime fallbacks so a
             chain that failed batch execution once never pays the conversion
-            tax again); ``False`` keeps everything record-at-a-time.
-            ``None`` (the default) reads the ``DIABLO_COLUMNAR`` environment
-            variable, falling back to ``False``.  Per-partition fallback to
-            the record path keeps results identical in every mode
-            (performance and the ``vectorized_stages`` /
-            ``columnar_fallbacks`` counters are the only observable
-            difference).
+            tax again.  ``True`` (the default) or ``False`` (everything
+            record-at-a-time).  Per-partition fallback to the record path
+            keeps results identical either way (performance and the
+            ``vectorized_stages`` / ``columnar_fallbacks`` counters are the
+            only observable difference).
         adaptive: adaptive skew-aware execution.  At force time the driver
             stride-samples an eligible keyed shuffle's input (through its
             captured narrow chain) into a per-key histogram; hot keys in
@@ -186,16 +162,14 @@ class DistributedContext:
         spill_threshold_bytes: int | None = None,
         spill_dir: str | None = None,
         plan_optimize: bool = True,
-        columnar: bool | str | None = None,
+        columnar: bool = True,
         adaptive: bool = True,
         plan_cache: bool = True,
     ):
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        if columnar is None:
-            columnar = _columnar_from_env()
-        if columnar not in (True, False, "auto"):
-            raise ValueError('columnar must be True, False or "auto"')
+        if not isinstance(columnar, bool):
+            raise ValueError(f"columnar must be True or False, got {columnar!r}")
         self.num_partitions = num_partitions
         self.broadcast_join_threshold = broadcast_join_threshold
         self.plan_optimize = plan_optimize
@@ -229,7 +203,7 @@ class DistributedContext:
             spill_threshold_bytes=config.spill_threshold_bytes,
             spill_dir=config.spill_dir,
             plan_optimize=getattr(config, "plan_optimize", True),
-            columnar=getattr(config, "columnar", None),
+            columnar=getattr(config, "columnar", True),
             adaptive=getattr(config, "adaptive", True),
             plan_cache=getattr(config, "plan_cache", True),
         )
@@ -587,9 +561,7 @@ class DistributedContext:
                 )
             chain += (NarrowStage(stage_mod.PARTITIONS_INDEXED, writer),)
             if self.columnar:
-                self.metrics.record_vectorization(
-                    *stage_mod.vectorization_counts(chain, self.columnar)
-                )
+                self.metrics.record_vectorization(*stage_mod.vectorization_counts(chain))
             outputs = self.run_tasks(
                 stage_mod.compose(chain, self.columnar), source_partitions, task_spec=chain
             )
@@ -687,9 +659,7 @@ class DistributedContext:
         if not shuffle_input.stages:
             return shuffle_input, partitions
         if self.columnar:
-            self.metrics.record_vectorization(
-                *stage_mod.vectorization_counts(shuffle_input.stages, self.columnar)
-            )
+            self.metrics.record_vectorization(*stage_mod.vectorization_counts(shuffle_input.stages))
         chained = self.run_tasks(
             stage_mod.compose(shuffle_input.stages, self.columnar),
             partitions,

@@ -96,11 +96,11 @@ def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> 
     return "none"
 
 
-def _vectorization_notes(stages: tuple[Any, ...], columnar: Any) -> tuple[str, ...]:
+def _vectorization_notes(stages: tuple[Any, ...]) -> tuple[str, ...]:
     """Human-readable per-stage vectorization outcomes for ``explain()``."""
     return tuple(
         f"{kind}: {kernel}" if kernel is not None else f"{kind}: record path ({note})"
-        for kind, kernel, note in stage_mod.vectorization_report(stages, columnar)
+        for kind, kernel, note in stage_mod.vectorization_report(stages)
     )
 
 
@@ -219,10 +219,8 @@ class Dataset:
         task = stage_mod.compose(stages, self.context.columnar)
         metrics = self.context.metrics
         if self.context.columnar:
-            metrics.record_vectorization(
-                *stage_mod.vectorization_counts(stages, self.context.columnar)
-            )
-            self.vectorization_notes = _vectorization_notes(stages, self.context.columnar)
+            metrics.record_vectorization(*stage_mod.vectorization_counts(stages))
+            self.vectorization_notes = _vectorization_notes(stages)
         new_partitions = self.context.run_tasks(task, source_partitions, task_spec=stages)
         metrics.record_narrow(
             len(source_partitions), sum(len(partition) for partition in source_partitions)
@@ -411,7 +409,7 @@ class Dataset:
         note = f" (shuffle eliminated: {self.provenance})" if self.provenance else ""
         lines.append(f"{pad}NarrowChain({stage_mod.describe(stages)}){note}")
         if self.context.columnar:
-            for vector_note in _vectorization_notes(stages, self.context.columnar):
+            for vector_note in _vectorization_notes(stages):
                 lines.append(f"{pad}  vectorized: {vector_note}")
         source._explain_into(lines, depth + 1)
 

@@ -75,13 +75,12 @@ class Metrics:
     #: Record-function stages planned to run as columnar batch kernels
     #: (``map``/``flat_map``/``filter``/``map_values`` chains and
     #: vectorizable map-side combiners).  Counted at plan time, so identical
-    #: across executor modes; 0 unless the context runs with ``columnar``
-    #: truthy (``True`` or ``"auto"``).
+    #: across executor modes; 0 when the context runs with
+    #: ``columnar=False``.
     vectorized_stages: int = 0
     #: Record-function stages that stayed on the record path while columnar
     #: execution was on (unrecognized functions, combiners without a kernel,
-    #: and -- under ``columnar="auto"`` -- whole chains that were not fully
-    #: lowerable).
+    #: and every stage of a chain that was not fully lowerable).
     columnar_fallbacks: int = 0
     #: Batch runs skipped straight to the record path because an earlier
     #: partition of the same (plan-cached) segment already fell back -- the

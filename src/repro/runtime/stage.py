@@ -97,10 +97,10 @@ _VECTOR_CLASSES = {
     MAP: (columnar_mod.VectorizedMap, columnar_mod.VectorizedBind, columnar_mod.VectorizedLet),
     FLAT_MAP: (columnar_mod.VectorizedFlatMap,),
     FILTER: (columnar_mod.VectorizedFilter,),
-    MAP_VALUES: (columnar_mod.VectorizedMapValues,),
 }
 
-#: The record-function stage kinds (the kinds a batch kernel may replace).
+#: The record-function stage kinds.  ``map_values`` has no batch kernel, so a
+#: chain holding one is never fully lowerable.
 _VECTOR_KINDS = (MAP, FLAT_MAP, FILTER, MAP_VALUES)
 
 
@@ -233,11 +233,11 @@ def _run_batch_segment(
         return records
 
 
-def _auto_batchable(chain: tuple[NarrowStage, ...]) -> bool:
-    """Whether ``columnar="auto"`` batches this chain.
+def _fully_lowerable(chain: tuple[NarrowStage, ...]) -> bool:
+    """Whether ``columnar=True`` batches this chain.
 
-    Auto mode batches only *fully lowerable* chains -- every record-function
-    stage carries a kernel (whole-partition stages manage their own columnar
+    Only *fully lowerable* chains batch -- every record-function stage
+    carries a kernel (whole-partition stages manage their own columnar
     handling) and there is at least one.  A partially lowerable chain would
     pay the records->columns conversion tax for a handful of batched stages
     and then round-trip back; those chains stay record-at-a-time.
@@ -252,23 +252,17 @@ def _auto_batchable(chain: tuple[NarrowStage, ...]) -> bool:
 
 
 def compose(
-    stages: Iterable[NarrowStage], columnar: Any = False
+    stages: Iterable[NarrowStage], columnar: bool = False
 ) -> Callable[[list[Any], int], list[Any]]:
     """Fuse a stage chain into a single per-partition task.
 
-    ``columnar`` is ``False`` (record path), ``True`` (batch every
-    vectorizable run, even inside partially lowerable chains) or ``"auto"``
-    (batch only chains :func:`_auto_batchable` accepts).  Batched runs
-    execute as kernels over a
+    With ``columnar`` on, a chain :func:`_fully_lowerable` accepts runs its
+    record-function stages as kernels over a
     :class:`~repro.runtime.columnar.ColumnarPartition` with a per-partition
-    record-path fallback; everything else runs record-at-a-time.
+    record-path fallback; every other chain runs record-at-a-time.
     """
     chain = tuple(stages)
-    if columnar == "auto":
-        batch = _auto_batchable(chain)
-    else:
-        batch = bool(columnar) and any(stage_vectorizable(stage) for stage in chain)
-    if batch:
+    if columnar and _fully_lowerable(chain):
         segments = _segment(chain)
 
         def fused_columnar(records: list[Any], index: int) -> list[Any]:
@@ -431,20 +425,20 @@ def tag_record(side: int, record: Any) -> tuple[int, Any]:
 
 
 def apply_combiner(
-    combiner: tuple[Any, ...], records: list[Any], columnar: Any = False
+    combiner: tuple[Any, ...], records: list[Any], columnar: bool = False
 ) -> list[Any]:
     """Run a map-side combiner spec over one partition's key-value records.
 
-    With ``columnar`` truthy (``True`` or ``"auto"``) and a combiner
+    With ``columnar`` on and a combiner
     :func:`~repro.runtime.columnar.combiner_vectorizable` accepts (a
-    :class:`~repro.runtime.columnar.VectorizedCombine` fold or the adaptive
-    ``("group",)`` collect), the grouped fold runs through
-    :func:`~repro.runtime.columnar.combine_batch`; any failure there falls
-    back to this record path (the kernel never mutates ``records``).
+    :class:`~repro.runtime.columnar.VectorizedCombine` fold), the grouped
+    fold runs through :func:`~repro.runtime.columnar.combine_batch`, reusing
+    the columns a batch segment left resident; any failure there falls back
+    to this record path (the kernel never mutates ``records``).
     """
     if columnar and records and columnar_mod.combiner_vectorizable(combiner):
         try:
-            return columnar_mod.combine_batch(combiner, records)
+            return columnar_mod.combine_batch(combiner, records, _resident_part(records))
         except Exception:
             pass
     kind = combiner[0]
@@ -542,7 +536,7 @@ def _writer_output(writer: spill_mod.BucketWriter, records_in: int) -> list[Any]
 
 
 def _vector_buckets(
-    partitioner: Any, key_of: Callable[[Any], Any], records: list[Any], columnar: Any
+    partitioner: Any, key_of: Callable[[Any], Any], records: list[Any], columnar: bool
 ) -> list[int] | None:
     """Vectorized map-side bucket assignment for scalar int keys, or None.
 
@@ -584,7 +578,7 @@ def shuffle_write(
     sort_spec: tuple[Callable[[Any], Any], bool] | None,
     records: list[Any],
     index: int,
-    columnar: Any = False,
+    columnar: bool = False,
 ) -> list[Any]:
     """Map-side shuffle writer: combine (optionally), bucket by key, spill
     over budget.
@@ -623,7 +617,7 @@ def salted_shuffle_write(
     hot_keys: frozenset,
     records: list[Any],
     index: int,
-    columnar: Any = False,
+    columnar: bool = False,
 ) -> list[Any]:
     """:func:`shuffle_write` with hot-key salting (adaptive skew handling).
 
@@ -917,31 +911,28 @@ def _stage_combiner(function: functools.partial) -> tuple[Any, ...] | None:
     return None
 
 
-def vectorization_counts(
-    stages: Iterable[NarrowStage], columnar: Any = True
-) -> tuple[int, int]:
+def vectorization_counts(stages: Iterable[NarrowStage]) -> tuple[int, int]:
     """Plan-time vectorization accounting for one stage chain.
 
     Returns ``(vectorized, fallbacks)``: record-function stages that will run
     as batch kernels vs. those that stay on the record path while columnar
     execution is on.  Counted from the *plan* -- like ``shuffles_eliminated``
-    -- so the numbers are identical across executor modes (a worker-side
-    per-partition fallback cannot be observed from the driver under the
-    process executor).  Under ``columnar="auto"`` a chain that is not fully
-    lowerable counts every record-function stage as a fallback, matching
-    what :func:`compose` will execute.  Whole-partition stages are only
-    counted when they are ``apply_combiner`` / ``shuffle_write`` closures
-    carrying a combiner (the shapes with a grouped-fold/collect kernel);
-    structural passes such as ``read_bucket`` do no per-record work and are
-    skipped.
+    -- so the numbers are identical across executor modes (a per-partition
+    fallback on a cluster worker cannot be observed from the driver).  A
+    chain that is not fully lowerable counts every record-function stage as
+    a fallback, matching what :func:`compose` will execute.  Whole-partition
+    stages are only counted when they are ``apply_combiner`` /
+    ``shuffle_write`` closures carrying a combiner (a grouped-fold kernel or
+    its record-path fallback); structural passes such as ``read_bucket``
+    do no per-record work and are skipped.
     """
     chain = tuple(stages)
-    auto_off = columnar == "auto" and not _auto_batchable(chain)
+    lowerable = _fully_lowerable(chain)
     vectorized = fallbacks = 0
     for stage in chain:
         function = stage.function
         if stage.kind in _VECTOR_KINDS:
-            if stage_vectorizable(stage) and not auto_off:
+            if lowerable:
                 vectorized += 1
             else:
                 fallbacks += 1
@@ -956,20 +947,18 @@ def vectorization_counts(
     return vectorized, fallbacks
 
 
-def vectorization_report(
-    stages: Iterable[NarrowStage], columnar: Any = True
-) -> list[tuple[str, str | None, str]]:
+def vectorization_report(stages: Iterable[NarrowStage]) -> list[tuple[str, str | None, str]]:
     """Per-stage vectorization outcomes for explain output.
 
     One ``(kind, kernel, note)`` entry per counted stage (same selection as
     :func:`vectorization_counts`): ``kernel`` is the batch-kernel name when
     the stage will run batched (note ``"batch"``), else ``None`` with the
-    fallback reason -- ``"no batch kernel"``, ``"auto: chain not fully
+    fallback reason -- ``"no batch kernel"``, ``"chain not fully
     lowerable"``, or ``"memoized record-path fallback"`` once a runtime
     fallback has been memoized for the stage's segment.
     """
     chain = tuple(stages)
-    auto_off = columnar == "auto" and not _auto_batchable(chain)
+    lowerable = _fully_lowerable(chain)
     entries: list[tuple[str, str | None, str]] = []
     for batchable, segment in _segment(chain):
         memoized = batchable and _memoized_fallback(segment)
@@ -978,8 +967,8 @@ def vectorization_report(
             if stage.kind in _VECTOR_KINDS:
                 if not batchable:
                     entries.append((stage.kind, None, "no batch kernel"))
-                elif auto_off:
-                    entries.append((stage.kind, None, "auto: chain not fully lowerable"))
+                elif not lowerable:
+                    entries.append((stage.kind, None, "chain not fully lowerable"))
                 elif memoized:
                     entries.append((stage.kind, None, "memoized record-path fallback"))
                 else:
@@ -990,8 +979,7 @@ def vectorization_report(
                     continue
                 enabled = bool(function.keywords.get("columnar"))
                 if enabled and columnar_mod.combiner_vectorizable(combiner):
-                    kernel = "grouped-collect" if combiner[0] == "group" else "grouped-fold"
-                    entries.append(("combine", kernel, "batch"))
+                    entries.append(("combine", "grouped-fold", "batch"))
                 else:
                     entries.append(("combine", None, "no combiner kernel"))
     return entries

@@ -3,18 +3,26 @@
 The gate compares a fresh benchmark results file against the committed
 ``BENCH_results.json`` baseline; these tests drive its compare logic (and the
 full CLI on synthetic files) to pin down the acceptance criterion: green on a
-clean run, red when fed an artificially slowed result.
+clean run, red when fed an artificially slowed result.  The recording tests
+run a real benchmark session to check that only ``BENCH_RESULTS_PATH`` names
+the file results are written to, so running the suite never rewrites the
+committed baseline.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_GATE_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_GATE_PATH = _REPO_ROOT / "benchmarks" / "check_regression.py"
 _SPEC = importlib.util.spec_from_file_location("check_regression", _GATE_PATH)
 gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(gate)
@@ -130,3 +138,56 @@ class TestCli:
         assert committed.exists(), "committed baseline missing"
         code = gate.main(["--results", str(committed)])
         assert code == 0
+
+
+_TINY_BENCHMARK = """
+from benchmarks.conftest import record_run
+
+
+def test_records_one_entry():
+    record_run("tiny", 1, "diablo", 0.001)
+"""
+
+
+def _benchmark_session(root: Path, results_path: Path | None) -> None:
+    """One pytest session over a copy of the benchmark conftest under ``root``.
+
+    The copied conftest resolves every repository-relative path against
+    ``root``, so ``root / "BENCH_results.json"`` stands in for the committed
+    baseline.
+    """
+    package = root / "benchmarks"
+    package.mkdir()
+    for name in ("conftest.py", "_recording.py"):
+        shutil.copy(_REPO_ROOT / "benchmarks" / name, package / name)
+    (package / "test_tiny.py").write_text(_TINY_BENCHMARK)
+    environment = {k: v for k, v in os.environ.items() if k != "BENCH_RESULTS_PATH"}
+    environment["PYTHONPATH"] = str(_REPO_ROOT / "src")
+    if results_path is not None:
+        environment["BENCH_RESULTS_PATH"] = str(results_path)
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"],
+        cwd=root,
+        env=environment,
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+
+
+class TestRecording:
+    def test_session_without_results_path_leaves_the_default_file_untouched(self, tmp_path):
+        default = tmp_path / "BENCH_results.json"
+        default.write_text('{"schema": 1, "entries": []}\n')
+        _benchmark_session(tmp_path, None)
+        assert default.read_text() == '{"schema": 1, "entries": []}\n'
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == ["BENCH_results.json"]
+
+    def test_session_with_results_path_writes_only_there(self, tmp_path):
+        default = tmp_path / "BENCH_results.json"
+        default.write_text('{"schema": 1, "entries": []}\n')
+        fresh = tmp_path / "fresh.json"
+        _benchmark_session(tmp_path, fresh)
+        assert default.read_text() == '{"schema": 1, "entries": []}\n'
+        entries = json.loads(fresh.read_text())["entries"]
+        assert [(e["workload"], e["system"]) for e in entries] == [("tiny", "diablo")]

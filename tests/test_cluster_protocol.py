@@ -258,6 +258,16 @@ class _Env:
         return self.values
 
 
+def _above_threshold(pair):
+    """Record-path oracle of ``pair[0] > threshold`` at the shipped threshold 2."""
+    return pair[0] > 2
+
+
+def _extend_w(row):
+    """Record-path oracle of the ``("extend", ("w",), ...)`` flat_map spec."""
+    return [{**row, "w": 1}, {**row, "w": 2}]
+
+
 class TestColumnarWireSerialization:
     """Vectorized plan functions must survive the trip to a cluster worker.
 
@@ -284,7 +294,7 @@ class TestColumnarWireSerialization:
         env = _Env()
         scope = columnar.ScalarScope(values_provider=env.current)
         predicate = columnar.BinOp(">", columnar.Col((0,)), columnar.Ref("threshold"))
-        fn = columnar.VectorizedFilter(predicate, scope, oracle=None)
+        fn = columnar.VectorizedFilter(predicate, scope, oracle=_above_threshold)
 
         clone = self.round_trip(fn)
         assert type(clone) is columnar.VectorizedFilter
@@ -310,13 +320,16 @@ class TestColumnarWireSerialization:
 
         fn = columnar.VectorizedFlatMap(
             ("extend", ("w",), ((columnar.Lit(1),), (columnar.Lit(2),))),
-            oracle=None,
+            oracle=_extend_w,
         )
         clone = self.round_trip(fn)
         part = columnar.ColumnarPartition.from_records([{"i": 0}, {"i": 1}])
-        assert clone.apply_batch(part).to_records() == [
+        batch = clone.apply_batch(part).to_records()
+        assert batch == [
             {"i": 0, "w": 1},
             {"i": 0, "w": 2},
             {"i": 1, "w": 1},
             {"i": 1, "w": 2},
         ]
+        # The clone's oracle ships too and agrees with its batch kernel.
+        assert [out for row in part.to_records() for out in clone(row)] == batch

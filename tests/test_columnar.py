@@ -1,16 +1,18 @@
 """Differential oracle suite for columnar vectorized execution.
 
 The record-at-a-time path is the correctness oracle: with ``columnar=True``
-*and* with the default ``columnar="auto"`` every Figure 3 workload must
-produce **bit-identical** outputs under every executor mode (including the
-harshest spill setting), because batch kernels either reproduce the record
-semantics exactly or fall back per partition -- and auto mode only batches
-chains that lower completely.
+(the default) every Figure 3 workload must produce **bit-identical** outputs
+to ``columnar=False`` under every executor mode, in memory and at the
+harshest spill setting, because batch kernels either reproduce the record
+semantics exactly or fall back per partition -- and only chains that lower
+completely batch at all.  Every vectorized function's record path is the
+closure the term compiler built, so there is no second record semantics to
+compare against.
 
 Kernel-level tests pin down the exactness guards one by one: Python-int
 overflow, bool arithmetic, NaN/negative-zero folds, mixed-type comparisons,
 division/modulo corner cases (zero divisors, negative zero, int64 overflow),
-constant-fan-out flat_map expansion, grouped collect, the no-numpy list
+constant-fan-out flat_map expansion, map-side combiner dispatch, the no-numpy list
 backend and the per-partition record-path replay with its fallback memo.
 """
 
@@ -46,23 +48,24 @@ from repro.runtime import stage as stage_mod
 from repro.runtime.context import EXECUTOR_MODES, DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 
-#: Both truthy columnar modes must match the record path bit for bit.
-COLUMNAR_MODES = (True, "auto")
+#: Shuffles in memory and spilling every record; both must match the record
+#: path bit for bit.
+SPILL_SETTINGS = (None, TINY_SPILL)
+SPILL_IDS = ("in-memory", "spill1")
 
 
 def run_columnar(
     name: str,
     spill_threshold_bytes: int | None = None,
-    columnar_mode: bool | str = True,
     open_context=DistributedContext,
     num_partitions: int = 4,
 ) -> tuple:
-    """One Figure 3 workload under truthy columnar; outputs + metric pair."""
+    """One Figure 3 workload with columnar on; outputs + metric pair."""
     spec = get_program(name)
     with open_context(
         num_partitions=num_partitions,
         spill_threshold_bytes=spill_threshold_bytes,
-        columnar=columnar_mode,
+        columnar=True,
     ) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
@@ -83,27 +86,24 @@ def record_path_outputs(name: str, num_partitions: int = 4) -> dict:
         return translated_outputs(name, result)
 
 
-@pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
+@pytest.mark.parametrize("spill", SPILL_SETTINGS, ids=SPILL_IDS)
 @pytest.mark.parametrize("mode", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", table2_program_names())
 def test_every_figure3_workload_is_bit_identical_under_columnar(
-    name, mode, columnar_mode, executor_context
+    name, mode, spill, executor_context
 ):
-    """columnar=True/auto == columnar=False == interpreter, per program and mode.
+    """columnar=True == columnar=False == interpreter, per program and mode.
 
-    The ``"auto"`` leg additionally runs at spill threshold 1 byte (the
-    acceptance matrix: every workload x every executor x the harshest spill
-    setting must be bit-identical to the record path under the default mode).
+    The acceptance matrix: every workload x every executor x {in memory,
+    spill threshold 1 byte} must be bit-identical to the record path.
     """
-    spill = 1 if columnar_mode == "auto" else None
     outputs, _counters = run_columnar(
         name,
         spill_threshold_bytes=spill,
-        columnar_mode=columnar_mode,
         open_context=functools.partial(executor_context, mode),
     )
     assert outputs == record_path_outputs(name), (
-        f"{name} under {mode!r}/columnar={columnar_mode!r}: "
+        f"{name} under {mode!r} at spill threshold {spill!r}: "
         "columnar results differ from the record path"
     )
     assert_same_outputs(get_program(name), _Outputs(outputs), interpreter_outputs(name))
@@ -122,13 +122,15 @@ def test_every_figure3_workload_is_bit_identical_under_columnar_at_every_partiti
     )
 
 
-@pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
+@pytest.mark.parametrize("num_partitions", PARTITION_COUNTS)
 @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
-def test_figure3_wide_workloads_spilled_columnar_match_record_path(name, columnar_mode):
+def test_figure3_wide_workloads_spilled_columnar_match_record_path(name, num_partitions):
+    """Every shuffle spills (threshold 1 byte) while batches are one whole
+    input or uneven, possibly empty, partitions."""
     outputs, _counters = run_columnar(
-        name, spill_threshold_bytes=TINY_SPILL, columnar_mode=columnar_mode
+        name, spill_threshold_bytes=TINY_SPILL, num_partitions=num_partitions
     )
-    assert outputs == record_path_outputs(name)
+    assert outputs == record_path_outputs(name, num_partitions)
 
 
 def test_numeric_workloads_actually_vectorize():
@@ -226,12 +228,15 @@ def _filter_stage():
 
 
 class TestBatchKernels:
-    def test_map_filter_map_values_chain(self):
+    def test_filter_map_map_chain(self):
         out = columnar.OutTuple(
             [
                 columnar.Col((0,)),
                 columnar.BinOp("*", columnar.Col((1,)), columnar.Ref("scale")),
             ]
+        )
+        decrement = columnar.OutTuple(
+            [columnar.Col((0,)), columnar.BinOp("-", columnar.Col((1,)), columnar.Lit(1))]
         )
         chain = [
             _filter_stage(),
@@ -242,11 +247,9 @@ class TestBatchKernels:
                 ),
             ),
             stage_mod.NarrowStage(
-                stage_mod.MAP_VALUES,
-                columnar.VectorizedMapValues(
-                    columnar.BinOp("-", columnar.Col(()), columnar.Lit(1)),
-                    columnar.ScalarScope(),
-                    oracle=lambda v: v - 1,
+                stage_mod.MAP,
+                columnar.VectorizedMap(
+                    decrement, columnar.ScalarScope(), oracle=lambda p: (p[0], p[1] - 1)
                 ),
             ),
         ]
@@ -326,11 +329,6 @@ class TestExactnessGuards:
 # ---------------------------------------------------------------------------
 
 
-def _apply_div(op, divisor, value):
-    """Module-level oracle (picklable for the process executor)."""
-    return operators.apply_binary(op, value, divisor)
-
-
 def _div_map(op, divisor):
     """``(k, v) -> (k, v <op> divisor)`` as a vectorized pair map."""
     out = columnar.OutTuple(
@@ -342,6 +340,7 @@ def _div_map(op, divisor):
 
 
 def _pair_div(op, divisor, pair):
+    """The record-path oracle of :func:`_div_map`."""
     return (pair[0], operators.apply_binary(op, pair[1], divisor))
 
 
@@ -615,32 +614,82 @@ class TestExtendFlatMapLowering:
 
 
 # ---------------------------------------------------------------------------
-# Grouped collect: the ("group",) adaptive combiner's batch kernel
+# Map-side combiner dispatch: the adaptive ("group",) collect has no kernel,
+# and the folds reuse the columns a batch segment left resident
 # ---------------------------------------------------------------------------
 
 
-class TestGroupedCollect:
-    def test_matches_record_path_grouping_exactly(self):
+def _resident(records):
+    """``records`` as a batch segment leaves them: columns kept resident."""
+    part = columnar.ColumnarPartition.from_records(records)
+    assert part is not None
+    stage_mod._remember_resident(records, part)
+    return records
+
+
+def _spy(monkeypatch, owner, name):
+    """Wrap ``owner.name``; each call appends ``[args, returned]`` to the list
+    returned here (``returned`` stays False when the call raised)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def spy(*args):
+        call = [args, False]
+        calls.append(call)
+        result = original(*args)
+        call[1] = True
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _group_stage(columnar_on):
+    function = functools.partial(stage_mod.apply_combiner, ("group",), columnar=columnar_on)
+    return stage_mod.NarrowStage(stage_mod.PARTITIONS, function)
+
+
+class TestCombinerDispatch:
+    def test_group_combiner_matches_record_path_grouping_exactly(self):
         records = [(3, 1.0), (1, 2.0), (3, 3.0), (2, 4.0), (1, 5.0), (3, 6.0)]
-        batch = stage_mod.apply_combiner(("group",), list(records), columnar=True)
         record = stage_mod.apply_combiner(("group",), list(records), columnar=False)
-        assert batch == record
-        assert [key for key, _ in batch] == [3, 1, 2], "first-seen key order"
-        assert batch[0][1] == [1.0, 3.0, 6.0], "values keep record order"
+        for given in (list(records), _resident(list(records))):
+            assert stage_mod.apply_combiner(("group",), given, columnar=True) == record
+        assert [key for key, _ in record] == [3, 1, 2], "first-seen key order"
+        assert record[0][1] == [1.0, 3.0, 6.0], "values keep record order"
 
-    def test_engages_the_kernel_for_int_keys(self):
-        if columnar.np is None:
-            pytest.skip("grouped collect requires numpy")
-        part = columnar.ColumnarPartition.from_records([(1, "a"), (2, "b"), (1, "c")])
-        assert columnar._grouped_collect(part) == [(1, ["a", "c"]), (2, ["b"])]
+    def test_group_combiner_never_calls_the_kernel(self, monkeypatch):
+        calls = _spy(monkeypatch, columnar, "combine_batch")
+        records = [(1, "a"), (2, "b"), (1, "c")]
+        for given in (list(records), _resident(list(records))):
+            batch = stage_mod.apply_combiner(("group",), given, columnar=True)
+            assert batch == [(1, ["a", "c"]), (2, ["b"])]
+        assert calls == []
 
-    def test_non_int_keys_fall_back_to_the_record_path(self):
-        records = [(1.5, "a"), (2.5, "b"), (1.5, "c")]
-        batch = stage_mod.apply_combiner(("group",), list(records), columnar=True)
-        assert batch == [(1.5, ["a", "c"]), (2.5, ["b"])]
+    def test_group_combiner_counts_as_a_fallback(self):
+        assert not columnar.combiner_vectorizable(("group",))
+        assert stage_mod.vectorization_counts((_group_stage(True),)) == (0, 1)
+        assert stage_mod.vectorization_report((_group_stage(True),)) == [
+            ("combine", None, "no combiner kernel")
+        ]
 
-    def test_group_combiner_is_vectorizable(self):
-        assert columnar.combiner_vectorizable(("group",))
+    def test_folds_reuse_resident_columns(self, monkeypatch):
+        records = _resident([(i % 3, float(i)) for i in range(12)])
+        resident = stage_mod._resident_part(records)
+        combiner = ("reduce", columnar.VectorizedCombine("+", _sum_combine))
+        expected = stage_mod.apply_combiner(combiner, list(records), columnar=False)
+        kernel_calls = _spy(monkeypatch, columnar, "combine_batch")
+        conversions = _spy(monkeypatch, columnar.ColumnarPartition, "from_records")
+
+        assert stage_mod.apply_combiner(combiner, records, columnar=True) == expected
+        assert [(args[2], returned) for args, returned in kernel_calls] == [(resident, True)]
+        assert kernel_calls[0][0][2] is resident
+        assert conversions == [], "resident records were converted again"
+
+        plain = list(records)
+        assert stage_mod.apply_combiner(combiner, plain, columnar=True) == expected
+        assert kernel_calls[1][0][2] is None and kernel_calls[1][1], "plain records: kernel ran"
+        assert len(conversions) == 1, "plain records are converted once"
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +737,7 @@ class TestScalarCalls:
 
 
 # ---------------------------------------------------------------------------
-# columnar="auto": batch only fully lowerable chains
+# columnar=True batches only fully lowerable chains
 # ---------------------------------------------------------------------------
 
 
@@ -704,62 +753,79 @@ def _record_map_stage():
     return stage_mod.NarrowStage(stage_mod.MAP, lambda p: (p[0], p[1] + 1))
 
 
-class TestAutoMode:
+def _identity(value):
+    return value
+
+
+class TestFullyLowerableChains:
     def test_fully_lowerable_chain_batches(self):
-        assert stage_mod._auto_batchable((_vector_filter_stage(),))
+        assert stage_mod._fully_lowerable((_vector_filter_stage(),))
 
     def test_partially_lowerable_chain_stays_on_records(self):
         chain = (_vector_filter_stage(), _record_map_stage())
-        assert not stage_mod._auto_batchable(chain)
-        # compose(auto) over a mixed chain is the plain record-path closure.
+        assert not stage_mod._fully_lowerable(chain)
+        # compose(True) over a mixed chain is the plain record-path closure.
         records = [(i, i) for i in range(6)]
-        auto = stage_mod.compose(list(chain), columnar="auto")(list(records), 0)
+        batch = stage_mod.compose(list(chain), columnar=True)(list(records), 0)
         record = stage_mod.compose(list(chain), columnar=False)(list(records), 0)
-        assert auto == record
+        assert batch == record
 
     def test_pure_record_chain_never_batches(self):
-        assert not stage_mod._auto_batchable((_record_map_stage(),))
+        assert not stage_mod._fully_lowerable((_record_map_stage(),))
 
-    def test_auto_counts_unlowerable_chains_entirely_as_fallbacks(self):
+    def test_unlowerable_chains_count_entirely_as_fallbacks(self):
+        assert stage_mod.vectorization_counts((_vector_filter_stage(),)) == (1, 0)
         chain = (_vector_filter_stage(), _record_map_stage())
-        assert stage_mod.vectorization_counts(chain, True) == (1, 1)
-        assert stage_mod.vectorization_counts(chain, "auto") == (0, 2)
+        assert stage_mod.vectorization_counts(chain) == (0, 2)
 
     def test_report_names_kernels_and_reasons(self):
-        chain = (_vector_filter_stage(), _record_map_stage())
-        assert stage_mod.vectorization_report(chain, True) == [
+        assert stage_mod.vectorization_report((_vector_filter_stage(),)) == [
             ("filter", "VectorizedFilter", "batch"),
-            ("map", None, "no batch kernel"),
         ]
-        # Under auto the lowerable filter is disabled by the mixed chain; the
-        # map's reason stays the more precise "no batch kernel".
-        assert stage_mod.vectorization_report(chain, "auto") == [
-            ("filter", None, "auto: chain not fully lowerable"),
+        # The lowerable filter is disabled by the mixed chain; the map's
+        # reason stays the more precise "no batch kernel".
+        chain = (_vector_filter_stage(), _record_map_stage())
+        assert stage_mod.vectorization_report(chain) == [
+            ("filter", None, "chain not fully lowerable"),
             ("map", None, "no batch kernel"),
         ]
 
-    def test_config_accepts_auto_and_rejects_others(self):
-        with config_mod.options(columnar="auto") as cfg:
-            assert cfg.columnar == "auto"
+    def test_config_accepts_bools_and_rejects_others(self):
+        with config_mod.options(columnar=False) as cfg:
+            assert cfg.columnar is False
             ctx = cfg.make_context()
             try:
-                assert ctx.columnar == "auto"
+                assert ctx.columnar is False
             finally:
                 ctx.close()
-        with pytest.raises(ValueError):
-            config_mod.DiabloConfig(columnar="sometimes")
+        for value in ("auto", None, "sometimes", 1):
+            with pytest.raises(ValueError, match="True or False"):
+                config_mod.DiabloConfig(columnar=value)
+            with pytest.raises(ValueError, match="True or False"):
+                DistributedContext(num_partitions=2, columnar=value)
 
-    def test_env_fallback_parses_all_spellings(self, monkeypatch):
-        for raw, expected in (
-            ("auto", "auto"), ("1", True), ("true", True), ("on", True),
-            ("0", False), ("off", False), ("", False),
-        ):
-            monkeypatch.setenv("DIABLO_COLUMNAR", raw)
-            with DistributedContext(num_partitions=2) as ctx:
-                assert ctx.columnar == expected, raw
-        monkeypatch.setenv("DIABLO_COLUMNAR", "sometimes")
-        with pytest.raises(ValueError):
-            DistributedContext(num_partitions=2)
+    def test_columnar_environment_variable_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("DIABLO_COLUMNAR", "0")
+        with DistributedContext(num_partitions=2) as ctx:
+            assert ctx.columnar is True
+
+    def test_vectorized_functions_require_an_oracle(self):
+        predicate = columnar.BinOp(">", columnar.Col((0,)), columnar.Lit(2))
+        out = columnar.Col((0,))
+        spec = ("extend", ("w",), ((columnar.Lit(1),),))
+        builders = [
+            lambda **oracle: columnar.VectorizedMap(out, **oracle),
+            lambda **oracle: columnar.VectorizedFilter(predicate, **oracle),
+            lambda **oracle: columnar.VectorizedBind(("var", "x"), **oracle),
+            lambda **oracle: columnar.VectorizedLet("y", predicate, **oracle),
+            lambda **oracle: columnar.VectorizedFlatMap(spec, **oracle),
+        ]
+        for build in builders:
+            with pytest.raises(TypeError):
+                build()
+            with pytest.raises(TypeError):
+                build(oracle=None)
+            assert build(oracle=_identity)(7) == 7, "__call__ is the oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +926,7 @@ class TestBatchRuntime:
         if columnar.np is None:
             pytest.skip("vectorized bucketing requires numpy")
         spec = get_program("pagerank")
-        with DistributedContext(num_partitions=4, columnar="auto") as ctx:
+        with DistributedContext(num_partitions=4, columnar=True) as ctx:
             diablo_for(spec, ctx).compile(spec.source).run(**workload("pagerank"))
             assert ctx.metrics.columnar_vector_bucket_tasks > 0
             snapshot = ctx.metrics.snapshot()
@@ -900,15 +966,18 @@ class TestListBackend:
 
 class TestPlumbing:
     def test_config_knob_reaches_the_context_and_runtime_key(self):
-        with config_mod.options(columnar=True) as cfg:
-            assert cfg.columnar is True
-            assert True in {cfg.columnar} and cfg.runtime_key()[-1] is True
+        default = config_mod.current_config()
+        assert default.columnar is True, "columnar is on by default"
+        with config_mod.options(columnar=False) as cfg:
+            assert cfg.columnar is False
+            assert cfg.runtime_key() != default.runtime_key()
             ctx = cfg.make_context()
             try:
-                assert ctx.columnar is True
+                assert ctx.columnar is False
             finally:
                 ctx.close()
-        assert config_mod.current_config().columnar == "auto", "auto is the default"
+        with DistributedContext(num_partitions=2) as ctx:
+            assert ctx.columnar is True, "and on a plain context"
 
     def test_counters_surface_in_snapshot_and_explain(self):
         _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum")
@@ -923,7 +992,7 @@ class TestPlumbing:
             assert f"vectorized stages: {vectorized}" in rendered
 
     def test_dataset_explain_shows_per_chain_vectorization_notes(self):
-        with DistributedContext(num_partitions=2, columnar="auto") as ctx:
+        with DistributedContext(num_partitions=2, columnar=True) as ctx:
             data = ctx.parallelize([(i, i * 3) for i in range(20)]).filter(
                 columnar.VectorizedFilter(
                     columnar.BinOp("<", columnar.Col((1,)), columnar.Lit(100)),
@@ -936,9 +1005,9 @@ class TestPlumbing:
             assert "vectorized: filter: VectorizedFilter" in data.explain(), "materialized"
 
     def test_dataset_explain_names_the_fallback_reason(self):
-        with DistributedContext(num_partitions=2, columnar="auto") as ctx:
-            # A plain closure next to a vectorized stage: auto keeps the whole
-            # chain on records and the note says why.
+        with DistributedContext(num_partitions=2, columnar=True) as ctx:
+            # A plain closure next to a vectorized stage keeps the whole chain
+            # on records and the note says why.
             data = (
                 ctx.parallelize([(i, i * 3) for i in range(20)])
                 .filter(
@@ -952,7 +1021,7 @@ class TestPlumbing:
             )
             data.collect()
             rendered = data.explain()
-            assert "record path (auto: chain not fully lowerable)" in rendered
+            assert "record path (chain not fully lowerable)" in rendered
             assert "record path (no batch kernel)" in rendered
 
     def test_columnar_off_keeps_counters_at_zero(self):

@@ -337,7 +337,7 @@ class TestConfiguration:
                 config = diablo.current_config()
                 assert config.num_partitions == 5
                 assert config.columnar is False
-            assert diablo.current_config().columnar == "auto"
+            assert diablo.current_config().columnar is True
         with pytest.raises(RuntimeError):
             with diablo.options(num_partitions=2):
                 raise RuntimeError("boom")
